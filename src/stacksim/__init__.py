@@ -12,7 +12,7 @@ from .downlink import (
     FairnessVariant,
     OverheadCounts,
     SlotScheduleResult,
-    UserChannel,
+    Users,
     baseline_mimo,
     drop_users,
     effective_channels,
@@ -22,10 +22,9 @@ from .downlink import (
     schedule_slot,
     sinr_matrix,
     ta_sum_rate,
-    user_sinr,
 )
 from .errors import ConfigurationError, ValidationError
-from .geometry import GridSpec, grid_coordinates, linear_index, pair_distance
+from .geometry import GridSpec
 from .harness import (
     ExperimentConfig,
     ExperimentKind,
@@ -40,6 +39,7 @@ from .harness import (
     fig6_config,
     run_experiment,
     summarize,
+    synthesize,
     write_csv,
     write_summary_json,
 )

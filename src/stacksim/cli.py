@@ -11,10 +11,8 @@ import click
 
 from . import harness
 from .errors import ConfigurationError, ValidationError
-from .pgd import PgdConfig, constraint_deviation, run_pgd, write_trace_csv
-from .randomizer import stream_seed
+from .pgd import constraint_deviation, write_trace_csv
 from .stack import StackDescription, build_stack
-from .target import generate_target
 
 _HEADLINE = {
     "synth_sweep_layers": "objective_db",
@@ -79,21 +77,21 @@ def _execute(config: harness.ExperimentConfig, out: str | None, fairness_variant
 @_preset_options(downlink=False)
 def fig3(seed, trials, out, scale) -> None:
     """Synthesis error vs number of phase-controlled layers and inner cells."""
-    _execute(harness.fig3_config(seed=seed or 0, trials=trials or 5, scale=scale), out)
+    _execute(harness.fig3_config(seed=seed or 0, trials=5 if trials is None else trials, scale=scale), out)
 
 
 @main.command()
 @_preset_options(downlink=False)
 def fig4(seed, trials, out, scale) -> None:
     """Optimizer convergence traces for several inner layer sizes."""
-    _execute(harness.fig4_config(seed=seed or 0, trials=trials or 5, scale=scale), out)
+    _execute(harness.fig4_config(seed=seed or 0, trials=5 if trials is None else trials, scale=scale), out)
 
 
 @main.command()
 @_preset_options(downlink=True)
 def fig5(seed, trials, out, scale, eta, d0, fairness_variant) -> None:
     """Time-averaged sum rate vs user count, against the full-feedback baseline."""
-    config = harness.fig5_config(seed=seed or 0, trials=trials or 100, scale=scale, eta=eta, d0=d0)
+    config = harness.fig5_config(seed=seed or 0, trials=100 if trials is None else trials, scale=scale, eta=eta, d0=d0)
     _execute(config, out, fairness_variant)
 
 
@@ -101,7 +99,7 @@ def fig5(seed, trials, out, scale, eta, d0, fairness_variant) -> None:
 @_preset_options(downlink=True)
 def fig6(seed, trials, out, scale, eta, d0, fairness_variant) -> None:
     """Fairness vs user count for several slot counts."""
-    config = harness.fig6_config(seed=seed or 0, trials=trials or 100, scale=scale, eta=eta, d0=d0)
+    config = harness.fig6_config(seed=seed or 0, trials=100 if trials is None else trials, scale=scale, eta=eta, d0=d0)
     _execute(config, out, fairness_variant)
 
 
@@ -157,13 +155,7 @@ def synth(config_file, seed, out) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         stack = build_stack(stack_desc)
-        key = harness._synth_key(stack_desc)
-        target = generate_target(
-            stack.input_size, stack.output_size, stack.beta, stack.w1_frobenius,
-            stream_seed(master, "target", 0, key),
-        )
-        pgd_config = PgdConfig(**{**pgd_overrides, "seed": stream_seed(master, "pgd-init", 0, key)})
-        state = run_pgd(stack, target, pgd_config)
+        state = harness.synthesize(stack, pgd_overrides, master, trial=0)
     except (ConfigurationError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
 

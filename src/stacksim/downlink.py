@@ -26,13 +26,12 @@ from .propagation import SPEED_OF_LIGHT
 __all__ = [
     "UNSERVED",
     "DownlinkScenario",
-    "UserChannel",
+    "Users",
     "SlotScheduleResult",
     "FairnessVariant",
     "OverheadCounts",
     "drop_users",
     "effective_channels",
-    "user_sinr",
     "sinr_matrix",
     "schedule_slot",
     "ta_sum_rate",
@@ -100,13 +99,24 @@ class DownlinkScenario:
 
 
 @dataclass(frozen=True)
-class UserChannel:
-    """One user's placement and small-scale fading (unit mean energy)."""
+class Users:
+    """A user drop as arrays, one row per user: placement, distance to the base
+    station, path loss, and small-scale fading (unit mean energy).
 
-    position: np.ndarray  # (3,) meters
-    distance: float
-    pathloss: float
-    fading: np.ndarray  # (output_size,) complex
+    ``len()`` is the user count; indexing with a slice or an index array
+    selects users, e.g. ``users[:n]`` for the first ``n``.
+    """
+
+    positions: np.ndarray  # (U, 3) meters
+    distance: np.ndarray  # (U,) meters
+    pathloss: np.ndarray  # (U,) linear power gain
+    fading: np.ndarray  # (U, output_size) complex
+
+    def __len__(self) -> int:
+        return self.distance.shape[0]
+
+    def __getitem__(self, index) -> "Users":
+        return Users(self.positions[index], self.distance[index], self.pathloss[index], self.fading[index])
 
 
 @dataclass(frozen=True)
@@ -139,12 +149,14 @@ class OverheadCounts:
     within_training_budget: bool
 
 
-def pathloss(distance: float, wavelength: float, reference_distance: float, exponent: float) -> float:
-    """Distance power law anchored at the far-field reference distance."""
+def pathloss(distance, wavelength: float, reference_distance: float, exponent: float):
+    """Distance power law anchored at the far-field reference distance (scalar or array)."""
     return (wavelength / (4.0 * math.pi * reference_distance)) ** 2 * (reference_distance / distance) ** exponent
 
 
-def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int | None = None, output_size: int | None = None) -> list[UserChannel]:
+def drop_users(
+    scenario: DownlinkScenario, seed: int, fading_seed: int | None = None, output_size: int | None = None
+) -> Users:
     """Drop users uniformly by area on the annulus and draw their fading.
 
     ``output_size`` is the fading vector length, the stack's output layer
@@ -165,44 +177,23 @@ def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int | None = 
     fading = (fad_rng.standard_normal((count, dim)) + 1j * fad_rng.standard_normal((count, dim))) * math.sqrt(
         0.5 / dim
     )
-
-    users = []
-    for u in range(count):
-        position = np.array([radius[u] * math.cos(angle[u]), radius[u] * math.sin(angle[u]), 0.0])
-        distance = math.sqrt(radius[u] ** 2 + scenario.bs_height_m**2)
-        users.append(
-            UserChannel(
-                position=position,
-                distance=distance,
-                pathloss=pathloss(
-                    distance, scenario.wavelength, scenario.reference_distance_m, scenario.pathloss_exponent
-                ),
-                fading=fading[u],
-            )
-        )
-    return users
+    distance = np.sqrt(radius**2 + scenario.bs_height_m**2)
+    return Users(
+        positions=np.column_stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(count)]),
+        distance=distance,
+        pathloss=pathloss(distance, scenario.wavelength, scenario.reference_distance_m, scenario.pathloss_exponent),
+        fading=fading,
+    )
 
 
-def effective_channels(users: list[UserChannel], response: np.ndarray) -> np.ndarray:
+def effective_channels(users: Users, response: np.ndarray) -> np.ndarray:
     """Per-(user, beam) scalar channels: sqrt(pathloss) * fading^H * steering column."""
     response = np.asarray(response)
-    dim = response.shape[0]
-    for user in users:
-        if user.fading.shape != (dim,):
-            raise ConfigurationError(
-                f"user fading length {user.fading.shape} does not match response rows {dim}"
-            )
-    fad = np.asarray([u.fading for u in users])
-    gains = np.sqrt(np.asarray([u.pathloss for u in users]))
-    return gains[:, None] * (fad.conj() @ response)
-
-
-def user_sinr(c_row: np.ndarray, n: int, noise_over_energy: float) -> float:
-    """SINR of beam ``n`` at one user, the other beams acting as interference."""
-    if not noise_over_energy > 0:
-        raise ValueError("noise_over_energy must be positive")
-    power = np.abs(np.asarray(c_row)) ** 2
-    return float(power[n] / (power.sum() - power[n] + noise_over_energy))
+    if users.fading.shape[1] != response.shape[0]:
+        raise ConfigurationError(
+            f"user fading length {users.fading.shape[1]} does not match response rows {response.shape[0]}"
+        )
+    return np.sqrt(users.pathloss)[:, None] * (users.fading.conj() @ response)
 
 
 def sinr_matrix(effective: np.ndarray, noise_over_energy: float) -> np.ndarray:
@@ -303,7 +294,7 @@ def overhead(streams: int, slots: int, users: int, output_size: int, eta_feedbac
 
 
 def baseline_mimo(
-    users: list[UserChannel],
+    users: Users,
     streams: int,
     noise_over_energy: float,
     slots: int,
@@ -322,17 +313,19 @@ def baseline_mimo(
         raise ConfigurationError(f"need at least {streams} users, got {len(users)}")
     if not total_precoder_power > 0:
         raise ValueError("total_precoder_power must be positive")
-    energies = np.asarray([float(np.sum(np.abs(u.fading) ** 2)) for u in users])
+    energies = np.sum(np.abs(users.fading) ** 2, axis=1)
     selected = np.argsort(-energies, kind="stable")[:streams]
+    chosen = users[selected]
 
-    precoders = np.column_stack([users[u].fading / energies[u] for u in selected])
+    # Row-major, like one precoder column per selected user: the matrix
+    # product's last bits depend on the operand layout.
+    precoders = np.ascontiguousarray((chosen.fading / energies[selected, None]).T)
     scale = math.sqrt(total_precoder_power / float(np.sum(np.abs(precoders) ** 2)))
     precoders = scale * precoders
 
-    effective = effective_channels([users[u] for u in selected], precoders)
-    power = np.abs(effective) ** 2
-    total = power.sum(axis=1)
-    beam_sinrs = np.array([power[i, i] / (total[i] - power[i, i] + noise_over_energy) for i in range(streams)])
+    power = np.abs(effective_channels(chosen, precoders)) ** 2
+    signal = np.diag(power)
+    beam_sinrs = signal / (power.sum(axis=1) - signal + noise_over_energy)
     beam_rates = np.log2(1.0 + beam_sinrs)
     return [
         SlotScheduleResult(slot=m, beam_users=selected.copy(), beam_sinrs=beam_sinrs.copy(), beam_rates=beam_rates.copy())

@@ -1,21 +1,19 @@
-"""Rectangular element grids and inter-element distances.
+"""Rectangular element grids.
 
 Every radiating surface in the model (feed array and metasurface layers) is a
 rectangular grid of elements with uniform spacing. Elements are addressed by a
-row-major linear index, and the distance between elements of two parallel
-grids reduces to an in-plane offset plus the layer separation.
+row-major linear index; the distance between elements of two parallel grids
+reduces to an in-plane offset plus the layer separation
+(see :mod:`stacksim.propagation`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-
-__all__ = ["GridSpec", "linear_index", "grid_coordinates", "pair_distance"]
+__all__ = ["GridSpec"]
 
 
 @dataclass(frozen=True)
@@ -41,48 +39,3 @@ class GridSpec:
         """Per-element (x, y) coordinates in index units, as flat float arrays."""
         idx = np.arange(self.total)
         return (idx // self.count_y).astype(float), (idx % self.count_y).astype(float)
-
-
-def linear_index(grid: GridSpec, ix: int, iy: int) -> int:
-    """Row-major linear index of the element at 2-D position ``(ix, iy)``."""
-    if not (0 <= ix < grid.count_x and 0 <= iy < grid.count_y):
-        raise IndexError(f"coordinate ({ix}, {iy}) outside {grid.count_x}x{grid.count_y} grid")
-    return ix * grid.count_y + iy
-
-
-def grid_coordinates(grid: GridSpec, index: int) -> tuple[int, int]:
-    """Inverse of :func:`linear_index`."""
-    if not (0 <= index < grid.total):
-        raise IndexError(f"linear index {index} outside grid with {grid.total} elements")
-    return index // grid.count_y, index % grid.count_y
-
-
-def pair_distance(
-    grid_a: GridSpec,
-    idx_a: int,
-    grid_b: GridSpec,
-    idx_b: int,
-    separation: float,
-    centered: bool = False,
-) -> float:
-    """Distance between element ``idx_a`` of one grid and ``idx_b`` of a parallel grid.
-
-    The grids are concentric, axis-aligned planes ``separation`` meters apart
-    sharing a common element spacing. By default grid origins are aligned by
-    index (element (0, 0) of each grid coincides); ``centered=True`` aligns
-    the grid centers instead.
-    """
-    if not separation > 0:
-        raise ValueError(f"separation must be positive, got {separation}")
-    if grid_a.spacing != grid_b.spacing:
-        raise ConfigurationError(
-            f"grids must share a common spacing, got {grid_a.spacing} and {grid_b.spacing}"
-        )
-    ax, ay = grid_coordinates(grid_a, idx_a)
-    bx, by = grid_coordinates(grid_b, idx_b)
-    dx = float(ax - bx)
-    dy = float(ay - by)
-    if centered:
-        dx += (grid_b.count_x - grid_a.count_x) / 2.0
-        dy += (grid_b.count_y - grid_a.count_y) / 2.0
-    return math.sqrt((dx * dx + dy * dy) * grid_a.spacing**2 + separation**2)

@@ -33,7 +33,7 @@ import numpy as np
 from .downlink import (
     DownlinkScenario,
     FairnessVariant,
-    UserChannel,
+    Users,
     baseline_mimo,
     drop_users,
     effective_channels,
@@ -47,7 +47,7 @@ from .errors import ConfigurationError, ValidationError
 from .pgd import PgdConfig, PgdState, constraint_deviation, run_pgd, write_trace_csv
 from .randomizer import draw_slot_phases, stream_seed
 from .stack import SimStack, StackDescription, build_stack, radiated_power_ratio, slot_response
-from .target import TargetMatrix, generate_target
+from .target import generate_target
 
 __all__ = [
     "ExperimentKind",
@@ -55,6 +55,7 @@ __all__ = [
     "ExperimentConfig",
     "ResultRecord",
     "run_experiment",
+    "synthesize",
     "summarize",
     "write_csv",
     "write_summary_json",
@@ -288,25 +289,30 @@ def _warn_training_budget(config: ExperimentConfig) -> None:
 # -- the runner ------------------------------------------------------------------
 
 
-@dataclass
-class _SynthOutcome:
-    state: PgdState
-    target: TargetMatrix
-    objective_db: float
-    iterations: int
-
-
 def _synth_key(desc: StackDescription) -> str:
     """Stack identity for seed derivation; slot count does not affect synthesis."""
     return dataclasses.replace(desc, slot_count=1).to_json()
 
 
-def _apply_state(stack: SimStack, state: PgdState) -> None:
-    for layer in stack.space_layers:
-        if stack.kind_of(layer).phase_tunable:
-            stack.set_layer(layer, phases=state.phases[layer])
-        else:
-            stack.set_layer(layer, amplitudes=state.amplitudes[layer])
+def synthesize(stack: SimStack, pgd_overrides: dict, master_seed: int, trial: int) -> PgdState:
+    """Synthesize ``stack`` toward the trial's random target; the one synthesis
+    entry point of experiments and the ``synth`` command.
+
+    The target and the optimizer's initial phases come from the "target" and
+    "pgd-init" substreams of ``master_seed``, keyed by the trial and the stack
+    description (minus the slot count), so equal inputs give equal results.
+    ``pgd_overrides`` are :class:`PgdConfig` fields; the seed is derived here.
+    """
+    key = _synth_key(stack.description)
+    target = generate_target(
+        stack.input_size,
+        stack.output_size,
+        stack.beta,
+        stack.w1_frobenius,
+        stream_seed(master_seed, "target", trial, key),
+    )
+    pgd_config = PgdConfig(**{**pgd_overrides, "seed": stream_seed(master_seed, "pgd-init", trial, key)})
+    return run_pgd(stack, target, pgd_config)
 
 
 def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None) -> list[ResultRecord]:
@@ -328,8 +334,8 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
     user_axis = config.sweep.user_counts
     max_users = max(user_axis) if user_axis else config.scenario.user_count
 
-    synth_cache: dict[tuple[str, int], _SynthOutcome] = {}
-    users_cache: dict[int, list[UserChannel]] = {}
+    synth_cache: dict[tuple[str, int], PgdState] = {}
+    users_cache: dict[int, Users] = {}
     records: list[ResultRecord] = []
 
     for point in points:
@@ -345,32 +351,16 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
             metrics: dict[str, float] = {}
             try:
                 cache_key = (synth_key, trial)
-                if cache_key not in synth_cache:
-                    target = generate_target(
-                        stack.input_size,
-                        stack.output_size,
-                        stack.beta,
-                        stack.w1_frobenius,
-                        stream_seed(config.master_seed, "target", trial, synth_key),
-                    )
-                    pgd_config = PgdConfig(
-                        **{**config.pgd, "seed": stream_seed(config.master_seed, "pgd-init", trial, synth_key)}
-                    )
-                    state = run_pgd(stack, target, pgd_config)
-                    synth_cache[cache_key] = _SynthOutcome(
-                        state=state,
-                        target=target,
-                        objective_db=state.final_objective_db,
-                        iterations=state.iteration,
-                    )
+                state = synth_cache.get(cache_key)
+                if state is None:
+                    state = synth_cache[cache_key] = synthesize(stack, config.pgd, config.master_seed, trial)
                     if trace_dir is not None and config.kind is ExperimentKind.SYNTH_CONVERGENCE:
                         tag = "_".join(f"{k}{v}" for k, v in point.items()) or "base"
                         write_trace_csv(state, Path(trace_dir) / f"trace_{tag}_trial{trial}.csv")
                 else:
-                    _apply_state(stack, synth_cache[cache_key].state)
-                outcome = synth_cache[cache_key]
-                metrics["objective_db"] = outcome.objective_db
-                metrics["pgd_iterations"] = float(outcome.iterations)
+                    state.apply_to(stack)
+                metrics["objective_db"] = state.final_objective_db
+                metrics["pgd_iterations"] = float(state.iteration)
                 metrics["power_constraint_deviation"] = constraint_deviation(stack)
 
                 if downlink:
@@ -401,7 +391,7 @@ def _downlink_metrics(
     scenario: DownlinkScenario,
     trial: int,
     synth_key: str,
-    users_cache: dict[int, list[UserChannel]],
+    users_cache: dict[int, Users],
     max_users: int,
 ) -> dict[str, float]:
     if trial not in users_cache:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .stack import SimStack, compose_space_block
+from .stack import SimStack, compose, compose_space_block
 from .target import TargetMatrix
 
 __all__ = [
@@ -77,6 +77,10 @@ class PgdConfig:
             raise ValueError("backtracking_contraction must lie in (0, 1)")
         if not self.step_growth >= 1.0:
             raise ValueError("step_growth must be at least 1")
+        if not self.initial_step > 0.0:
+            raise ValueError("initial_step must be positive")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be non-negative")
         if self.alpha_min is not None and self.alpha_max is not None:
             if not 0.0 < self.alpha_min <= self.alpha_max:
                 raise ValueError("need 0 < alpha_min <= alpha_max")
@@ -115,6 +119,15 @@ class PgdState:
     def final_objective_db(self) -> float:
         return objective_db(self.final_objective, self.target_norm_sq)
 
+    def apply_to(self, stack: SimStack) -> None:
+        """Write the final coefficients into ``stack``: phases of phase-controlled
+        layers, amplitudes of amplitude-controlled ones."""
+        for layer in stack.space_layers:
+            if stack.kind_of(layer).phase_tunable:
+                stack.set_layer(layer, phases=self.phases[layer])
+            else:
+                stack.set_layer(layer, amplitudes=self.amplitudes[layer])
+
 
 def objective_db(value: float, target_norm_sq: float) -> float:
     """Objective in decibels relative to the target's squared norm."""
@@ -131,16 +144,8 @@ def _check_dimensions(stack: SimStack, target: TargetMatrix) -> None:
         )
 
 
-def _compose(mats: list[np.ndarray], gammas: list[np.ndarray]) -> np.ndarray:
-    out = None
-    for w, gam in zip(mats, gammas):
-        out = w if out is None else w @ out
-        out = gam[:, None] * out
-    return out
-
-
 def _objective_value(mats, gammas, target_entries) -> float:
-    residual = _compose(mats, gammas) - target_entries
+    residual = compose(mats, gammas) - target_entries
     return float(np.sum(residual.real**2 + residual.imag**2))
 
 
@@ -337,14 +342,7 @@ def run_pgd(
             converged = True
             break
 
-    for pos in range(n_layers):
-        layer = pos + 2
-        if kinds[pos].phase_tunable:
-            stack.set_layer(layer, phases=phases[pos])
-        else:
-            stack.set_layer(layer, amplitudes=amps[pos])
-
-    return PgdState(
+    state = PgdState(
         phases={pos + 2: phases[pos] for pos in range(n_layers)},
         amplitudes={pos + 2: amps[pos] for pos in range(n_layers)},
         objective_trace=np.asarray(trace),
@@ -354,6 +352,8 @@ def run_pgd(
         converged=converged,
         frozen_events=frozen_events,
     )
+    state.apply_to(stack)
+    return state
 
 
 def constraint_deviation(stack: SimStack) -> float:

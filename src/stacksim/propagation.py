@@ -74,7 +74,9 @@ def build_propagation_matrix(
 
     Entry (r, c) is the kernel evaluated at the distance between destination
     element ``r`` and source element ``c`` for planes ``params.separation``
-    apart. Grid alignment follows :func:`stacksim.geometry.pair_distance`.
+    apart. Grids are aligned by index (element (0, 0) of each grid coincides),
+    or by their centers when ``centered``; the test suite checks every entry
+    against a per-pair distance oracle (``pair_distance`` in ``tests/conftest.py``).
     """
     if src.spacing != dst.spacing:
         raise ConfigurationError(
@@ -85,7 +87,8 @@ def build_propagation_matrix(
     dx = dx_[:, None] - sx[None, :]
     dy = dy_[:, None] - sy[None, :]
     if centered:
-        # Same operation order as geometry.pair_distance, so entries match it bit for bit.
+        # Same operation order as the pair_distance oracle in tests/conftest.py,
+        # so entries match it bit for bit.
         dx = dx + (src.count_x - dst.count_x) / 2.0
         dy = dy + (src.count_y - dst.count_y) / 2.0
     d = np.sqrt((dx * dx + dy * dy) * src.spacing**2 + params.separation**2)

@@ -54,12 +54,11 @@ class SlotPhases:
     def element_count(self) -> int:
         return self.phases.shape[1]
 
-    def coefficients(self, slot: int, beta: float | None = None) -> np.ndarray:
+    def coefficients(self, slot: int) -> np.ndarray:
         """Complex transmission coefficients ``beta * exp(j*psi)`` for one slot."""
         if not 0 <= slot < self.slot_count:
             raise IndexError(f"slot {slot} outside 0..{self.slot_count - 1}")
-        b = self.beta if beta is None else beta
-        return b * np.exp(1j * self.phases[slot])
+        return self.beta * np.exp(1j * self.phases[slot])
 
 
 def draw_slot_phases(slot_count: int, element_count: int, seed: int, beta: float = 1.0) -> SlotPhases:

@@ -31,6 +31,7 @@ __all__ = [
     "StackDescription",
     "SimStack",
     "build_stack",
+    "compose",
     "compose_space_block",
     "slot_response",
     "response_for_coefficients",
@@ -46,19 +47,18 @@ def db_to_amplitude(db: float) -> float:
 
 
 class LayerKind(str, Enum):
-    ST_DAL = "st_dal"  # time-coded input layer (layer 1)
+    """What a space-coded layer tunes; the output layer is simply the last one."""
+
     PHASE_CONTROLLED = "phase_controlled"
     AMPLITUDE_CONTROLLED = "amplitude_controlled"
-    TERMINAL_DAL_PC = "terminal_dal_pc"
-    TERMINAL_DAL_AC = "terminal_dal_ac"
 
     @property
     def phase_tunable(self) -> bool:
-        return self in (LayerKind.ST_DAL, LayerKind.PHASE_CONTROLLED, LayerKind.TERMINAL_DAL_PC)
+        return self is LayerKind.PHASE_CONTROLLED
 
     @property
     def amplitude_tunable(self) -> bool:
-        return self in (LayerKind.AMPLITUDE_CONTROLLED, LayerKind.TERMINAL_DAL_AC)
+        return self is LayerKind.AMPLITUDE_CONTROLLED
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,14 @@ class LayerCoefficients:
     def values(self) -> np.ndarray:
         return self.amplitudes * np.exp(1j * self.phases)
 
-    def validate(self, alpha_pc: float, beta: float, alpha_min: float, alpha_max: float) -> None:
+    def validate(self, alpha_pc: float, alpha_min: float, alpha_max: float) -> None:
         """Check the amplitude invariant of this layer's kind."""
         amp = self.amplitudes
         if self.kind.phase_tunable:
-            limit = beta if self.kind is LayerKind.ST_DAL else alpha_pc
-            if limit > 1.0 + 1e-12:
-                raise ConfigurationError(f"fixed amplitude of a phase-tunable layer must be <= 1, got {limit}")
-            if not np.allclose(amp, limit, rtol=0.0, atol=1e-12):
-                raise ConfigurationError(f"{self.kind.value} layer amplitudes must all equal {limit}")
+            if alpha_pc > 1.0 + 1e-12:
+                raise ConfigurationError(f"fixed amplitude of a phase-tunable layer must be <= 1, got {alpha_pc}")
+            if not np.allclose(amp, alpha_pc, rtol=0.0, atol=1e-12):
+                raise ConfigurationError(f"{self.kind.value} layer amplitudes must all equal {alpha_pc}")
         else:
             if np.any(amp < alpha_min - 1e-12) or np.any(amp > alpha_max + 1e-12):
                 raise ConfigurationError(
@@ -204,16 +203,12 @@ class StackDescription:
 
 
 def _layer_kinds(desc: StackDescription) -> tuple[LayerKind, ...]:
-    """Kinds of the space-coded layers 2..L, amplitude-controlled ones first."""
+    """Kinds of the space-coded layers 2..L, amplitude-controlled ones first;
+    the output layer L has ``terminal_kind``."""
+    ac, pc = LayerKind.AMPLITUDE_CONTROLLED, LayerKind.PHASE_CONTROLLED
     if desc.terminal_kind == "pc":
-        inner = [LayerKind.AMPLITUDE_CONTROLLED] * desc.ac_layers
-        inner += [LayerKind.PHASE_CONTROLLED] * (desc.pc_layers - 1)
-        terminal = LayerKind.TERMINAL_DAL_PC
-    else:
-        inner = [LayerKind.AMPLITUDE_CONTROLLED] * (desc.ac_layers - 1)
-        inner += [LayerKind.PHASE_CONTROLLED] * desc.pc_layers
-        terminal = LayerKind.TERMINAL_DAL_AC
-    return tuple(inner) + (terminal,)
+        return (ac,) * desc.ac_layers + (pc,) * desc.pc_layers
+    return (ac,) * (desc.ac_layers - 1) + (pc,) * desc.pc_layers + (ac,)
 
 
 class SimStack:
@@ -334,14 +329,15 @@ class SimStack:
             amplitudes=np.asarray(amplitudes, dtype=float) if amplitudes is not None else current.amplitudes,
         )
         amin, amax = self.alpha_bounds
-        new.validate(self.alpha_pc, self.beta, amin, amax)
+        new.validate(self.alpha_pc, amin, amax)
         if new.amplitudes.shape[0] != current.amplitudes.shape[0]:
             raise ConfigurationError(f"layer {layer} expects {current.amplitudes.shape[0]} coefficients")
         self._coefficients[pos] = new
         self._space_block = None
 
     def set_slot_phases(self, phases: SlotPhases | np.ndarray) -> None:
-        """Install the per-slot phase code of the time-coded input layer."""
+        """Install the per-slot phase code of the time-coded input layer;
+        rows beyond the stack's slot count are dropped."""
         if isinstance(phases, SlotPhases):
             matrix = phases.phases
         else:
@@ -354,14 +350,7 @@ class SimStack:
             raise ConfigurationError(
                 f"need phases for {self.slot_count} slots, got {matrix.shape[0]}"
             )
-        self.slot_phases = SlotPhases(phases=matrix, beta=self.beta, seed=getattr(phases, "seed", -1))
-
-    def slot_coefficients(self, slot: int) -> np.ndarray:
-        if self.slot_phases is None:
-            raise ConfigurationError("slot phases have not been set")
-        if not 0 <= slot < self.slot_count:
-            raise IndexError(f"slot {slot} outside 0..{self.slot_count - 1}")
-        return self.beta * np.exp(1j * self.slot_phases.phases[slot])
+        self.slot_phases = SlotPhases(matrix[: self.slot_count], self.beta, getattr(phases, "seed", -1))
 
 
 def build_stack(description: StackDescription) -> SimStack:
@@ -410,17 +399,24 @@ def build_stack(description: StackDescription) -> SimStack:
     return SimStack(description, upa, input_grid, inner_grid, output_grid, feed_matrix, tail, coefficients)
 
 
+def compose(matrices: list[np.ndarray], gammas: list[np.ndarray]) -> np.ndarray:
+    """Cascade response ``diag(g_L) W_L ... diag(g_2) W_2`` of the propagation
+    matrices ``W`` and coefficient vectors ``g``, multiplied in cascade order."""
+    out = None
+    for w, gam in zip(matrices, gammas):
+        out = w if out is None else w @ out
+        out = gam[:, None] * out
+    return out
+
+
 def compose_space_block(stack: SimStack) -> np.ndarray:
     """Response of the space-coded block (layers 2..L), ``output_size x input_size``.
 
-    This is the left-to-right product of alternating coefficient diagonals and
-    propagation matrices; cached until a coefficient changes.
+    :func:`compose` of the stack's propagation matrices and coefficients;
+    cached until a coefficient changes.
     """
     if stack._space_block is None:
-        out = None
-        for w, coeff in zip(stack._tail, stack._coefficients):
-            out = w if out is None else w @ out
-            out = coeff.values[:, None] * out
+        out = compose(stack._tail, stack.gammas())
         out.flags.writeable = False
         stack._space_block = out
     return stack._space_block
@@ -438,7 +434,9 @@ def response_for_coefficients(stack: SimStack, delta: np.ndarray) -> np.ndarray:
 def slot_response(stack: SimStack, slot: int) -> np.ndarray:
     """Per-slot steering matrix: space block times the slot's input-layer code
     times the feed matrix. Constant within a slot."""
-    return response_for_coefficients(stack, stack.slot_coefficients(slot))
+    if stack.slot_phases is None:
+        raise ConfigurationError("slot phases have not been set")
+    return response_for_coefficients(stack, stack.slot_phases.coefficients(slot))
 
 
 def power_ratio(space_block: np.ndarray, feed_matrix: np.ndarray, beta: float) -> float:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import stacksim as ss
 from stacksim import harness
 from stacksim.cli import main
 
@@ -94,6 +95,40 @@ def test_synth_from_bare_stack_config(runner, tmp_path):
     assert summary["iterations"] <= 25
     assert (out / "pgd_trace.csv").exists()
     assert "final objective" in result.output
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4", "fig5", "fig6"])
+def test_zero_trials_rejected(runner, tmp_path, command):
+    result = runner.invoke(main, [command, "--trials", "0", "--scale", "0.25", "--out", str(tmp_path / command)])
+    assert result.exit_code != 0
+    assert "trial_count must be at least 1" in result.output
+
+
+def test_synth_matches_experiment_trial_zero(runner, tmp_path):
+    stack = ss.StackDescription(
+        input_shape=(2, 2), inner_shape=(3, 3), output_shape=(3, 3), ac_layers=1, pc_layers=2, upa_shape=(2, 2)
+    )
+    pgd = {"max_iterations": 25}
+    config_file = tmp_path / "synth.json"
+    config_file.write_text(json.dumps({"stack": stack.to_dict(), "pgd": pgd, "master_seed": 5}))
+    out = tmp_path / "synth"
+    result = runner.invoke(main, ["synth", str(config_file), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((out / "synth_summary.json").read_text())
+
+    records = harness.run_experiment(
+        harness.ExperimentConfig(
+            kind=harness.ExperimentKind.SYNTH_CONVERGENCE,
+            stack=stack,
+            scenario=ss.DownlinkScenario(user_count=1),
+            sweep=harness.SweepAxes(),
+            trial_count=1,
+            master_seed=5,
+            pgd=pgd,
+        )
+    )
+    (objective,) = [r.value for r in records if r.metric == "objective_db"]
+    assert summary["final_objective_db"] == objective
 
 
 def test_fig5_scaled_smoke(runner, tmp_path):

@@ -6,7 +6,7 @@ from scipy import stats
 
 import stacksim as ss
 from stacksim.downlink import pathloss
-from conftest import exhaustive_schedule
+from conftest import exhaustive_schedule, user_sinr
 
 
 def scenario(**overrides):
@@ -15,29 +15,36 @@ def scenario(**overrides):
     return ss.DownlinkScenario(**defaults)
 
 
-def make_user(fading, rho=1.0):
-    fading = np.asarray(fading, dtype=complex)
-    return ss.UserChannel(position=np.zeros(3), distance=1.0, pathloss=rho, fading=fading)
+def make_users(fading, rho=1.0):
+    """Users at unit distance with the given fading rows and path losses."""
+    fading = np.atleast_2d(np.asarray(fading, dtype=complex))
+    count = fading.shape[0]
+    return ss.Users(
+        positions=np.zeros((count, 3)),
+        distance=np.ones(count),
+        pathloss=np.ones(count) * rho,
+        fading=fading,
+    )
 
 
 class TestDropUsers:
     def test_distance_bounds(self):
         scen = scenario(user_count=2000)
         users = ss.drop_users(scen, seed=1, output_size=9)
-        distances = np.array([u.distance for u in users])
+        distances = users.distance
         assert np.all(distances >= math.sqrt(scen.inner_radius_m**2 + scen.bs_height_m**2) - 1e-12)
         assert np.all(distances <= math.sqrt(scen.outer_radius_m**2 + scen.bs_height_m**2) + 1e-12)
         assert distances.min() >= 14.142
 
     def test_fading_energy_normalized(self):
         users = ss.drop_users(scenario(user_count=10_000), seed=2, output_size=9)
-        energy = np.mean([np.sum(np.abs(u.fading) ** 2) for u in users])
+        energy = np.mean(np.sum(np.abs(users.fading) ** 2, axis=1))
         assert 0.98 <= energy <= 1.02
 
     def test_planar_radius_cdf_uniform_by_area(self):
         scen = scenario(user_count=10_000)
         users = ss.drop_users(scen, seed=3, output_size=4)
-        radii = np.array([np.linalg.norm(u.position[:2]) for u in users])
+        radii = np.linalg.norm(users.positions[:, :2], axis=1)
         transformed = (radii**2 - scen.inner_radius_m**2) / (scen.outer_radius_m**2 - scen.inner_radius_m**2)
         statistic = stats.kstest(transformed, "uniform").statistic
         assert statistic < 1.628 / math.sqrt(len(users))
@@ -45,62 +52,64 @@ class TestDropUsers:
     def test_pathloss_formula(self):
         scen = scenario()
         users = ss.drop_users(scen, seed=4, output_size=4)
-        for u in users[:10]:
+        for u in range(10):
             expected = (scen.wavelength / (4 * math.pi * scen.reference_distance_m)) ** 2 * (
-                scen.reference_distance_m / u.distance
+                scen.reference_distance_m / users.distance[u]
             ) ** scen.pathloss_exponent
-            assert u.pathloss == pytest.approx(expected, rel=1e-12)
+            assert users.pathloss[u] == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_and_fading_stream_separable(self):
         scen = scenario(user_count=50)
         a = ss.drop_users(scen, seed=7, output_size=4)
         b = ss.drop_users(scen, seed=7, output_size=4)
-        for ua, ub in zip(a, b):
-            np.testing.assert_array_equal(ua.fading, ub.fading)
-            np.testing.assert_array_equal(ua.position, ub.position)
+        np.testing.assert_array_equal(a.fading, b.fading)
+        np.testing.assert_array_equal(a.positions, b.positions)
         c = ss.drop_users(scen, seed=7, fading_seed=123, output_size=4)
-        np.testing.assert_array_equal([u.distance for u in a], [u.distance for u in c])
-        assert not np.array_equal(a[0].fading, c[0].fading)
+        np.testing.assert_array_equal(a.distance, c.distance)
+        assert not np.array_equal(a.fading[0], c.fading[0])
+        prefix = a[:10]
+        assert len(a) == 50 and len(prefix) == 10
+        np.testing.assert_array_equal(prefix.fading, a.fading[:10])
+        np.testing.assert_array_equal(prefix.pathloss, a.pathloss[:10])
 
 
 class TestEffectiveChannels:
     def test_orthogonal_fading_gives_zero_row(self):
         response = np.array([[1.0], [0.0]], dtype=complex)
-        user = make_user([0.0, 1.0])
-        channels = ss.effective_channels([user], response)
+        channels = ss.effective_channels(make_users([0.0, 1.0]), response)
         assert channels[0, 0] == 0.0
 
     def test_matched_direction_gives_column_norm(self):
         rng = np.random.default_rng(0)
         column = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         response = column[:, None]
-        user = make_user(column / np.linalg.norm(column))
-        channels = ss.effective_channels([user], response)
+        channels = ss.effective_channels(make_users(column / np.linalg.norm(column)), response)
         assert channels[0, 0] == pytest.approx(np.linalg.norm(column), rel=1e-12)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(5)
         response = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        users = [make_user(rng.standard_normal(4) + 1j * rng.standard_normal(4), rho=float(rng.uniform(0.1, 2))) for _ in range(3)]
+        rows = [(rng.standard_normal(4) + 1j * rng.standard_normal(4), float(rng.uniform(0.1, 2))) for _ in range(3)]
+        users = make_users([f for f, _ in rows], rho=[r for _, r in rows])
         channels = ss.effective_channels(users, response)
-        for u, user in enumerate(users):
+        for u in range(3):
             for n in range(2):
-                expected = math.sqrt(user.pathloss) * np.vdot(user.fading, response[:, n])
+                expected = math.sqrt(users.pathloss[u]) * np.vdot(users.fading[u], response[:, n])
                 assert channels[u, n] == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ss.ConfigurationError):
-            ss.effective_channels([make_user([1.0, 0.0])], np.zeros((3, 2), dtype=complex))
+            ss.effective_channels(make_users([1.0, 0.0]), np.zeros((3, 2), dtype=complex))
 
 
 class TestUserSinr:
     def test_single_stream_has_no_interference(self):
-        assert ss.user_sinr(np.array([2.0 + 0j]), 0, 0.5) == pytest.approx(8.0, rel=1e-12)
+        assert user_sinr(np.array([2.0 + 0j]), 0, 0.5) == pytest.approx(8.0, rel=1e-12)
 
     def test_symmetric_row(self):
         row = np.full(4, math.sqrt(3.0), dtype=complex)
         nu = 0.7
-        assert ss.user_sinr(row, 1, nu) == pytest.approx(3.0 / (3 * 3.0 + nu), rel=1e-12)
+        assert user_sinr(row, 1, nu) == pytest.approx(3.0 / (3 * 3.0 + nu), rel=1e-12)
 
     def test_matches_explicit_sum(self):
         rng = np.random.default_rng(9)
@@ -108,7 +117,7 @@ class TestUserSinr:
         nu = 0.123
         for n in range(4):
             interference = sum(abs(row[j]) ** 2 for j in range(4) if j != n)
-            assert ss.user_sinr(row, n, nu) == pytest.approx(abs(row[n]) ** 2 / (interference + nu), rel=1e-12)
+            assert user_sinr(row, n, nu) == pytest.approx(abs(row[n]) ** 2 / (interference + nu), rel=1e-12)
 
     def test_sinr_matrix_consistent(self):
         rng = np.random.default_rng(10)
@@ -116,12 +125,12 @@ class TestUserSinr:
         matrix = ss.sinr_matrix(eff, 0.2)
         for u in range(5):
             for n in range(3):
-                assert matrix[u, n] == pytest.approx(ss.user_sinr(eff[u], n, 0.2), rel=1e-12)
+                assert matrix[u, n] == pytest.approx(user_sinr(eff[u], n, 0.2), rel=1e-12)
 
     def test_monotone_in_noise(self):
         rng = np.random.default_rng(11)
         row = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert ss.user_sinr(row, 0, 0.01) > ss.user_sinr(row, 0, 0.02)
+        assert user_sinr(row, 0, 0.01) > user_sinr(row, 0, 0.02)
 
 
 class TestScheduleSlot:
@@ -131,7 +140,7 @@ class TestScheduleSlot:
         assert result.beam_users[1] == 0
         assert result.beam_users[0] == ss.UNSERVED
         assert result.beam_rates[0] == 0.0
-        assert result.beam_rates[1] == pytest.approx(math.log2(1 + ss.user_sinr(eff[0], 1, 0.1)))
+        assert result.beam_rates[1] == pytest.approx(math.log2(1 + user_sinr(eff[0], 1, 0.1)))
 
     def test_diagonal_dominance_assigns_identity(self):
         eff = (np.eye(4) * 10 + 0.01 * np.ones((4, 4))).astype(complex)
@@ -258,7 +267,7 @@ class TestOverhead:
 
 class TestBaseline:
     def test_orthonormal_channels_have_no_interference(self):
-        users = [make_user(np.eye(4)[i]) for i in range(4)]
+        users = make_users(np.eye(4))
         nu = 0.01
         results = ss.baseline_mimo(users, 4, nu, slots=2, total_precoder_power=1.0)
         assert len(results) == 2
@@ -268,25 +277,25 @@ class TestBaseline:
 
     def test_selects_top_norm_users(self):
         rng = np.random.default_rng(41)
-        users = [make_user(rng.standard_normal(5) + 1j * rng.standard_normal(5)) for _ in range(6)]
-        norms = [float(np.sum(np.abs(u.fading) ** 2)) for u in users]
+        users = make_users([rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(6)])
+        norms = [float(np.sum(np.abs(users.fading[u]) ** 2)) for u in range(6)]
         expected = sorted(range(6), key=lambda i: (-norms[i], i))[:2]
         result = ss.baseline_mimo(users, 2, 0.1, slots=1)[0]
         assert list(result.beam_users) == expected
 
     def test_tie_breaks_toward_smaller_index(self):
         fading = np.array([1.0, 0.0], dtype=complex)
-        users = [make_user(fading), make_user(fading * 1j), make_user(fading * -1)]
+        users = make_users([fading, fading * 1j, fading * -1])
         result = ss.baseline_mimo(users, 2, 0.1, slots=1)[0]
         assert list(result.beam_users) == [0, 1]
 
     def test_total_power_normalization(self):
         rng = np.random.default_rng(42)
-        users = [make_user(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(5)]
+        users = make_users([rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(5)])
         for total in (1.0, 0.37):
-            selected = np.argsort([-np.sum(np.abs(u.fading) ** 2) for u in users], kind="stable")[:3]
+            selected = np.argsort([-np.sum(np.abs(f) ** 2) for f in users.fading], kind="stable")[:3]
             precoders = np.column_stack(
-                [users[i].fading / np.sum(np.abs(users[i].fading) ** 2) for i in selected]
+                [users.fading[i] / np.sum(np.abs(users.fading[i]) ** 2) for i in selected]
             )
             scale = math.sqrt(total / np.sum(np.abs(precoders) ** 2))
             expected_c = scale  # c_nn = sqrt(rho) h^H h / ||h||^2 * scale with rho = 1
@@ -298,7 +307,7 @@ class TestBaseline:
 
     def test_same_assignment_every_slot(self):
         rng = np.random.default_rng(43)
-        users = [make_user(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(8)]
+        users = make_users([rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(8)])
         results = ss.baseline_mimo(users, 4, 0.05, slots=3)
         for m, result in enumerate(results):
             assert result.slot == m
@@ -306,11 +315,11 @@ class TestBaseline:
             np.testing.assert_array_equal(result.beam_rates, results[0].beam_rates)
 
     def test_equal_rate_fairness_counts_streams(self):
-        users = [make_user(np.eye(4)[i]) for i in range(4)] + [make_user(0.1 * np.eye(4)[0])]
+        users = make_users(np.vstack([np.eye(4), 0.1 * np.eye(4)[:1]]))
         results = ss.baseline_mimo(users, 4, 0.01, slots=2)
         rates = ss.per_user_rate_matrix(results, len(users))
         assert ss.fairness_index(rates, ss.FairnessVariant.COHERENCE_WINDOW) == pytest.approx(4.0)
 
     def test_too_few_users_rejected(self):
         with pytest.raises(ss.ConfigurationError):
-            ss.baseline_mimo([make_user([1.0, 0.0])], 2, 0.1, slots=1)
+            ss.baseline_mimo(make_users([1.0, 0.0]), 2, 0.1, slots=1)

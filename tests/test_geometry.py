@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stacksim import ConfigurationError, GridSpec, grid_coordinates, linear_index, pair_distance
+from stacksim import ConfigurationError, GridSpec
+from conftest import grid_coordinates, linear_index, pair_distance
 
 
 class TestLinearIndex:

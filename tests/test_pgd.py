@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import stacksim as ss
+from stacksim import harness
 from stacksim.pgd import _quadratic_parts
 from conftest import finite_difference_gradient, objective_by_entry_sum, small_stack
 
@@ -167,7 +170,7 @@ class TestRunPgd:
             for layer, amp in snapshot.items():
                 if stack.kind_of(layer).amplitude_tunable:
                     assert np.all(amp >= amin - 1e-15) and np.all(amp <= amax + 1e-15)
-                elif stack.kind_of(layer) is not ss.LayerKind.ST_DAL:
+                else:
                     np.testing.assert_allclose(amp, stack.alpha_pc, rtol=0, atol=1e-15)
 
     def test_coefficients_written_back_to_stack(self):
@@ -189,6 +192,22 @@ class TestRunPgd:
         state = ss.run_pgd(stack, target, config)
         assert state.frozen_events >= len(stack.kinds)
         assert np.all(np.diff(state.objective_trace) <= 0)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"initial_step": 0.0}, "initial_step must be positive"),
+            ({"initial_step": -1.0}, "initial_step must be positive"),
+            ({"max_backtracks": -1}, "max_backtracks must be non-negative"),
+        ],
+    )
+    def test_invalid_step_settings_rejected(self, overrides, message):
+        # A non-positive first step accepted no move at all: the run "converged"
+        # after one iteration with the objective unchanged.
+        with pytest.raises(ValueError, match=message):
+            ss.PgdConfig(**overrides)
+        config = dataclasses.replace(harness.fig4_config(trials=1), pgd=overrides)
+        assert f"pgd: {message}" in harness.validate_config(config)
 
     def test_deterministic_given_seed(self):
         results = []

@@ -8,9 +8,9 @@ from stacksim import (
     GridSpec,
     KernelParams,
     build_propagation_matrix,
-    pair_distance,
     rs_kernel,
 )
+from conftest import pair_distance
 
 WAVELENGTH = 0.0107  # ~28 GHz
 

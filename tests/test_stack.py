@@ -12,7 +12,7 @@ class TestBuild:
         assert kinds[0] is ss.LayerKind.AMPLITUDE_CONTROLLED
         assert kinds[1] is ss.LayerKind.AMPLITUDE_CONTROLLED
         assert kinds[2] is ss.LayerKind.PHASE_CONTROLLED
-        assert kinds[-1] is ss.LayerKind.TERMINAL_DAL_PC
+        assert kinds[-1] is ss.LayerKind.PHASE_CONTROLLED
         assert stack.layer_count == 6
 
     def test_matrix_dimensions_follow_layer_pairs(self):
@@ -130,7 +130,7 @@ class TestSlotResponse:
         phases = ss.draw_slot_phases(2, stack.input_size, seed=8, beta=stack.beta)
         stack.set_slot_phases(phases)
         g0 = ss.compose_space_block(stack)
-        delta = phases.coefficients(0, stack.beta)
+        delta = phases.coefficients(0)
         w1 = stack.feed_matrix
         expected = sum(g0[:, z] * delta[z] * w1[z, 0] for z in range(stack.input_size))
         np.testing.assert_allclose(ss.slot_response(stack, 0)[:, 0], expected, rtol=1e-12)
