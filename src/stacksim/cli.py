@@ -144,7 +144,7 @@ def synth(config_file, seed, out) -> None:
             if unknown:
                 raise ConfigurationError(f"unknown synth config fields: {', '.join(unknown)}")
             stack_desc = StackDescription.from_dict(data["stack"])
-            pgd_overrides = dict(data.get("pgd", {}))
+            pgd_overrides = harness.check_pgd_block(data.get("pgd", {}))
             master = int(data.get("master_seed", 0))
     except (ConfigurationError, json.JSONDecodeError, KeyError) as exc:
         raise click.ClickException(str(exc)) from exc

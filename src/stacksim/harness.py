@@ -172,10 +172,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown_scenario = sorted(set(data["scenario"]) - scenario_fields)
     if unknown_scenario:
         raise ConfigurationError(f"unknown scenario fields: {', '.join(unknown_scenario)}")
-    pgd_fields = {f.name for f in fields(PgdConfig)}
-    unknown_pgd = sorted(set(data.get("pgd", {})) - pgd_fields)
-    if unknown_pgd:
-        raise ConfigurationError(f"unknown pgd fields: {', '.join(unknown_pgd)}")
     return ExperimentConfig(
         kind=ExperimentKind(data["kind"]),
         stack=StackDescription.from_dict(data["stack"]),
@@ -185,8 +181,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         master_seed=int(data.get("master_seed", 0)),
         output_path=data.get("output_path"),
         eta_feedback=float(data.get("eta_feedback", 1.0)),
-        pgd=dict(data.get("pgd", {})),
+        pgd=check_pgd_block(data.get("pgd", {})),
     )
+
+
+def check_pgd_block(block: dict) -> dict:
+    """Checked copy of a config's ``pgd`` block: :class:`PgdConfig` fields except the derived ``seed``."""
+    if "seed" in block:
+        raise ConfigurationError("pgd seed cannot be set: it is derived from master_seed")
+    unknown = sorted(set(block) - {f.name for f in fields(PgdConfig)})
+    if unknown:
+        raise ConfigurationError(f"unknown pgd fields: {', '.join(unknown)}")
+    return dict(block)
 
 
 # -- sweep-point expansion -----------------------------------------------------
@@ -265,8 +271,8 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         if config.scenario.carrier_hz != config.stack.frequency_hz:
             problems.append("scenario carrier_hz must match the stack's frequency_hz")
     try:
-        PgdConfig(**config.pgd)
-    except (TypeError, ValueError) as exc:
+        PgdConfig(**check_pgd_block(config.pgd))
+    except ValueError as exc:
         problems.append(f"pgd: {exc}")
     return problems
 
@@ -301,7 +307,7 @@ def synthesize(stack: SimStack, pgd_overrides: dict, master_seed: int, trial: in
     The target and the optimizer's initial phases come from the "target" and
     "pgd-init" substreams of ``master_seed``, keyed by the trial and the stack
     description (minus the slot count), so equal inputs give equal results.
-    ``pgd_overrides`` are :class:`PgdConfig` fields; the seed is derived here.
+    ``pgd_overrides`` is a checked ``pgd`` block (see :func:`check_pgd_block`).
     """
     key = _synth_key(stack.description)
     target = generate_target(
@@ -311,7 +317,7 @@ def synthesize(stack: SimStack, pgd_overrides: dict, master_seed: int, trial: in
         stack.w1_frobenius,
         stream_seed(master_seed, "target", trial, key),
     )
-    pgd_config = PgdConfig(**{**pgd_overrides, "seed": stream_seed(master_seed, "pgd-init", trial, key)})
+    pgd_config = PgdConfig(**pgd_overrides, seed=stream_seed(master_seed, "pgd-init", trial, key))
     return run_pgd(stack, target, pgd_config)
 
 

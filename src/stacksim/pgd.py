@@ -4,9 +4,11 @@ Minimizes the squared Frobenius distance between the composed space-block
 response and a target matrix, sweeping the layers in cascade order each
 iteration. Phase-controlled layers take plain gradient steps on their phases;
 amplitude-controlled layers take gradient steps on their amplitudes followed
-by projection onto the box [alpha_min, alpha_max]. Every step is accepted
-only under an Armijo sufficient-decrease test with backtracking, so the
-objective trace is non-increasing by construction.
+by projection onto the box [alpha_min, alpha_max]. Both kinds share one
+backtracking line search under an Armijo test, ``f <= f0 - c*step*|g|^2`` for
+phases and ``f <= f0 + c*g.(alpha_new - alpha)`` for amplitudes, so the trace
+is non-increasing. An iteration's objective is its last layer visit's value;
+that layer's downstream factor is the identity, so nothing is recomposed.
 
 For a layer with coefficients ``gamma`` the composed response factors as
 ``E @ diag(b_z) @ gamma`` per target column z, where ``E`` collects the
@@ -81,6 +83,8 @@ class PgdConfig:
             raise ValueError("initial_step must be positive")
         if self.max_backtracks < 0:
             raise ValueError("max_backtracks must be non-negative")
+        if not 0.0 < self.armijo_constant < 1.0:
+            raise ValueError("armijo_constant must lie in (0, 1)")
         if self.alpha_min is not None and self.alpha_max is not None:
             if not 0.0 < self.alpha_min <= self.alpha_max:
                 raise ValueError("need 0 < alpha_min <= alpha_max")
@@ -179,6 +183,15 @@ def _quadratic_parts(e_factor, b_factor, target_entries):
     return a_matrix, v_vector
 
 
+def _layer_gradient(e_factor, b_factor, gamma, target_entries, amplitudes=None, floor=None) -> np.ndarray:
+    """Phase gradient of one layer, or amplitude gradient if ``amplitudes`` (floored at ``floor``) is given."""
+    a_matrix, v_vector = _quadratic_parts(e_factor, b_factor, target_entries)
+    inner = gamma.conj() * (a_matrix @ gamma - v_vector)
+    if amplitudes is None:
+        return 2.0 * inner.imag
+    return 2.0 * inner.real / np.maximum(amplitudes, floor)
+
+
 def objective(stack: SimStack, target: TargetMatrix) -> float:
     """Squared Frobenius distance between the composed space block and the target."""
     _check_dimensions(stack, target)
@@ -206,14 +219,9 @@ def gradient(stack: SimStack, target: TargetMatrix, layer: int) -> np.ndarray:
     """
     _check_dimensions(stack, target)
     e_factor, b_factor = layer_factors(stack, layer)
-    a_matrix, v_vector = _quadratic_parts(e_factor, b_factor, target.entries)
     coeff = stack.coefficients_of(layer)
-    gam = coeff.values
-    inner = gam.conj() * (a_matrix @ gam - v_vector)
-    if coeff.kind.amplitude_tunable:
-        floor = stack.alpha_bounds[0]
-        return 2.0 * inner.real / np.maximum(coeff.amplitudes, floor)
-    return 2.0 * inner.imag
+    amplitudes = coeff.amplitudes if coeff.kind.amplitude_tunable else None
+    return _layer_gradient(e_factor, b_factor, coeff.values, target.entries, amplitudes, stack.alpha_bounds[0])
 
 
 def project_amplitude(alpha: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
@@ -277,63 +285,48 @@ def run_pgd(
 
         for pos in range(n_layers):
             e_factor = e_factors[pos]
-            a_matrix, v_vector = _quadratic_parts(e_factor, b_factor, target.entries)
-            gam = gammas[pos]
-            inner = gam.conj() * (a_matrix @ gam - v_vector)
-            f_base = _layer_objective(e_factor, b_factor, gam, target.entries)
-
-            if kinds[pos].phase_tunable:
-                grad = 2.0 * inner.imag
-                grad_norm_sq = float(grad @ grad)
-                step = last_step[pos] * config.step_growth
-                for _attempt in range(config.max_backtracks + 1):
-                    cand_phase = phases[pos] - step * grad
-                    cand_gamma = amps[pos] * np.exp(1j * cand_phase)
-                    f_new = _layer_objective(e_factor, b_factor, cand_gamma, target.entries)
-                    if f_new <= f_base - config.armijo_constant * step * grad_norm_sq:
-                        phases[pos] = cand_phase
-                        gammas[pos] = cand_gamma
-                        iteration_steps[pos] = step
-                        last_step[pos] = step
-                        break
-                    step *= config.backtracking_contraction
+            phase_tunable = kinds[pos].phase_tunable
+            amplitudes = None if phase_tunable else amps[pos]
+            grad = _layer_gradient(e_factor, b_factor, gammas[pos], target.entries, amplitudes, amin)
+            grad_norm_sq = float(grad @ grad)
+            f_base = f_next = _layer_objective(e_factor, b_factor, gammas[pos], target.entries)
+            step = last_step[pos] * config.step_growth
+            for _attempt in range(config.max_backtracks + 1):
+                if phase_tunable:
+                    cand = phases[pos] - step * grad
+                    cand_gamma = amps[pos] * np.exp(1j * cand)
+                    bound = f_base - config.armijo_constant * step * grad_norm_sq
                 else:
-                    frozen_events += 1
-                    logger.debug("layer %d frozen this iteration (phase line search)", pos + 2)
+                    cand = np.clip(amps[pos] - step * grad, amin, amax)
+                    cand_gamma = cand * np.exp(1j * phases[pos])
+                    bound = f_base + config.armijo_constant * float(grad @ (cand - amps[pos]))
+                f_new = _layer_objective(e_factor, b_factor, cand_gamma, target.entries)
+                if f_new <= bound:
+                    (phases if phase_tunable else amps)[pos] = cand
+                    gammas[pos] = cand_gamma
+                    iteration_steps[pos] = step
+                    last_step[pos] = step
+                    f_next = f_new
+                    break
+                step *= config.backtracking_contraction
             else:
-                grad = 2.0 * inner.real / np.maximum(amps[pos], amin)
-                step = last_step[pos] * config.step_growth
-                for _attempt in range(config.max_backtracks + 1):
-                    cand_amp = np.clip(amps[pos] - step * grad, amin, amax)
-                    cand_gamma = cand_amp * np.exp(1j * phases[pos])
-                    f_new = _layer_objective(e_factor, b_factor, cand_gamma, target.entries)
-                    decrease = config.armijo_constant * float(grad @ (cand_amp - amps[pos]))
-                    if f_new <= f_base + decrease:
-                        amps[pos] = cand_amp
-                        gammas[pos] = cand_gamma
-                        iteration_steps[pos] = step
-                        last_step[pos] = step
-                        break
-                    step *= config.backtracking_contraction
-                else:
-                    frozen_events += 1
-                    logger.debug("layer %d frozen this iteration (amplitude line search)", pos + 2)
+                frozen_events += 1
+                logger.debug("layer %d frozen this iteration", pos + 2)
 
             if pos < n_layers - 1:
                 b_factor = mats[pos + 1] @ (gammas[pos][:, None] * b_factor)
 
         step_log.append(iteration_steps)
-        f_next = _objective_value(mats, gammas, target.entries)
         if monitor is not None:
             monitor(len(trace), min(f_next, f_current), {pos + 2: amps[pos] for pos in range(n_layers)})
         if f_next > f_current:
-            # Rounding-floor anomaly: the per-layer acceptances all decreased,
-            # so any recomposition uptick is last-bit noise. Keep the previous
+            # Rounding-floor anomaly: every accepted layer step decreased its
+            # own evaluation, so an uptick is last-bit noise. Keep the previous
             # iterate so the trace stays non-increasing, and stop.
             phases, amps, gammas = snapshot
             trace.append(f_current)
             converged = True
-            logger.debug("recomposition uptick at the numerical floor; reverting final sweep")
+            logger.debug("objective uptick at the numerical floor; reverting final sweep")
             break
         trace.append(f_next)
         change = f_current - f_next

@@ -97,6 +97,39 @@ def test_synth_from_bare_stack_config(runner, tmp_path):
     assert "final objective" in result.output
 
 
+@pytest.mark.parametrize(
+    "pgd, message",
+    [({"bogus": 1}, "unknown pgd fields: bogus"), ({"seed": 5}, "pgd seed cannot be set")],
+)
+def test_synth_rejects_bad_pgd_block(runner, tmp_path, pgd, message):
+    # An unknown field crashed with a TypeError; a seed was echoed to the
+    # summary but overridden by the derived "pgd-init" seed.
+    config_file = tmp_path / "synth.json"
+    stack = {
+        "input_shape": [2, 2],
+        "inner_shape": [3, 3],
+        "output_shape": [3, 3],
+        "ac_layers": 1,
+        "pc_layers": 2,
+        "upa_shape": [2, 2],
+    }
+    config_file.write_text(json.dumps({"stack": stack, "pgd": pgd}))
+    result = runner.invoke(main, ["synth", str(config_file), "--out", str(tmp_path / "synth")])
+    assert result.exit_code != 0
+    assert message in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_run_rejects_pgd_seed(runner, tmp_path):
+    config = harness.config_to_dict(harness.fig4_config(trials=1, scale=0.2))
+    config["pgd"] = {"seed": 5}
+    config_file = tmp_path / "seeded.json"
+    config_file.write_text(json.dumps(config))
+    result = runner.invoke(main, ["run", str(config_file), "--out", str(tmp_path / "run")])
+    assert result.exit_code != 0
+    assert "pgd seed cannot be set" in result.output
+
+
 @pytest.mark.parametrize("command", ["fig3", "fig4", "fig5", "fig6"])
 def test_zero_trials_rejected(runner, tmp_path, command):
     result = runner.invoke(main, [command, "--trials", "0", "--scale", "0.25", "--out", str(tmp_path / command)])

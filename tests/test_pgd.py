@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -177,7 +178,9 @@ class TestRunPgd:
         stack = small_stack(seed=9)
         target = ss.generate_target(stack.input_size, stack.output_size, stack.beta, stack.w1_frobenius, 9)
         state = ss.run_pgd(stack, target, ss.PgdConfig(max_iterations=30, seed=4))
-        assert ss.objective(stack, target) == pytest.approx(state.final_objective, rel=1e-12)
+        # The final objective is the last layer visit's value, which evaluates
+        # the same product in the same order as the full composition.
+        assert ss.objective(stack, target) == state.final_objective
         for layer in stack.space_layers:
             coeff = stack.coefficients_of(layer)
             if coeff.kind.phase_tunable:
@@ -199,15 +202,53 @@ class TestRunPgd:
             ({"initial_step": 0.0}, "initial_step must be positive"),
             ({"initial_step": -1.0}, "initial_step must be positive"),
             ({"max_backtracks": -1}, "max_backtracks must be non-negative"),
+            ({"armijo_constant": 0.0}, "armijo_constant must lie in (0, 1)"),
+            ({"armijo_constant": -1.0}, "armijo_constant must lie in (0, 1)"),
+            ({"armijo_constant": 1.0}, "armijo_constant must lie in (0, 1)"),
+            ({"armijo_constant": 2.0}, "armijo_constant must lie in (0, 1)"),
         ],
     )
     def test_invalid_step_settings_rejected(self, overrides, message):
         # A non-positive first step accepted no move at all: the run "converged"
         # after one iteration with the objective unchanged.
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             ss.PgdConfig(**overrides)
         config = dataclasses.replace(harness.fig4_config(trials=1), pgd=overrides)
         assert f"pgd: {message}" in harness.validate_config(config)
+
+    @pytest.mark.parametrize(
+        "overrides, trace, steps, frozen",
+        [
+            (
+                {},
+                [9.700781701591811, 9.160756023853178, 7.7200250151816, 5.456769783482333, 5.02298881773768,
+                 4.630175901393827, 4.4723858337142754, 4.057197901762498, 3.951466130121993],
+                [[1.0, 1.0, 1.0], [4.0, 2.0, 4.0], [16.0, 1.0, 1.0], [16.0, 1.0, 0.5], [64.0, 1.0, 0.5],
+                 [16.0, 0.5, 0.5], [64.0, 2.0, 0.5], [256.0, 1.0, 1.0]],
+                0,
+            ),
+            (
+                # Long first steps with few backtracks: the phase layers freeze.
+                {"initial_step": 10.0, "max_backtracks": 3},
+                [9.700781701591811, 8.117737808431798, 7.286815410912905, 6.801187546075197, 6.784986705411086,
+                 6.761083537085892, 6.667187611217637, 6.656965214870263, 6.653693645917777],
+                [[10.0, 5.0, 5.0], [40.0, np.nan, np.nan], [20.0, np.nan, np.nan], [20.0, np.nan, np.nan],
+                 [20.0, np.nan, np.nan], [10.0, np.nan, np.nan], [10.0, np.nan, np.nan], [10.0, np.nan, np.nan]],
+                14,
+            ),
+        ],
+    )
+    def test_pinned_optimizer_path(self, overrides, trace, steps, frozen):
+        # Recorded from the two-loop implementation (one line search per layer
+        # kind, objective recomposed every iteration); a refactor of the
+        # optimizer must reproduce its iterates.
+        stack = small_stack(input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=1, seed=7)
+        target = ss.generate_target(stack.input_size, stack.output_size, stack.beta, stack.w1_frobenius, 7)
+        state = ss.run_pgd(stack, target, ss.PgdConfig(max_iterations=8, seed=7, **overrides))
+        assert state.frozen_events == frozen
+        np.testing.assert_allclose(state.objective_trace, trace, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(np.isnan(state.accepted_steps), np.isnan(steps))
+        np.testing.assert_allclose(state.accepted_steps, steps, rtol=1e-12, atol=0)
 
     def test_deterministic_given_seed(self):
         results = []
