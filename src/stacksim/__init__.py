@@ -40,6 +40,7 @@ from .harness import (
     run_experiment,
     summarize,
     synthesize,
+    with_overrides,
     write_csv,
     write_summary_json,
 )

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
 
 from . import harness
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError, read_object
 from .pgd import constraint_deviation, write_trace_csv
 from .stack import StackDescription, build_stack
 
@@ -33,7 +33,8 @@ def _preset_options(downlink: bool):
         f = click.option("--seed", type=int, default=None, help="Master seed [default: 0].")(f)
         f = click.option("--trials", type=int, default=None, help="Trials per sweep point.")(f)
         f = click.option("--out", type=click.Path(), default=None, help="Output directory.")(f)
-        f = click.option("--scale", type=float, default=1.0, show_default=True, help="Desk-scale shrink factor.")(f)
+        scale = click.FloatRange(0.0, 1.0, min_open=True)
+        f = click.option("--scale", type=scale, default=1.0, show_default=True, help="Desk-scale shrink factor.")(f)
         if downlink:
             f = click.option("--eta", type=float, default=None, help="Path-loss exponent override.")(f)
             f = click.option("--d0", type=float, default=None, help="Reference distance override (m).")(f)
@@ -77,30 +78,28 @@ def _execute(config: harness.ExperimentConfig, out: str | None, fairness_variant
 @_preset_options(downlink=False)
 def fig3(seed, trials, out, scale) -> None:
     """Synthesis error vs number of phase-controlled layers and inner cells."""
-    _execute(harness.fig3_config(seed=seed or 0, trials=5 if trials is None else trials, scale=scale), out)
+    _execute(harness.fig3_config(seed, trials, scale), out)
 
 
 @main.command()
 @_preset_options(downlink=False)
 def fig4(seed, trials, out, scale) -> None:
     """Optimizer convergence traces for several inner layer sizes."""
-    _execute(harness.fig4_config(seed=seed or 0, trials=5 if trials is None else trials, scale=scale), out)
+    _execute(harness.fig4_config(seed, trials, scale), out)
 
 
 @main.command()
 @_preset_options(downlink=True)
 def fig5(seed, trials, out, scale, eta, d0, fairness_variant) -> None:
     """Time-averaged sum rate vs user count, against the full-feedback baseline."""
-    config = harness.fig5_config(seed=seed or 0, trials=100 if trials is None else trials, scale=scale, eta=eta, d0=d0)
-    _execute(config, out, fairness_variant)
+    _execute(harness.fig5_config(seed, trials, scale, eta, d0), out, fairness_variant)
 
 
 @main.command()
 @_preset_options(downlink=True)
 def fig6(seed, trials, out, scale, eta, d0, fairness_variant) -> None:
     """Fairness vs user count for several slot counts."""
-    config = harness.fig6_config(seed=seed or 0, trials=100 if trials is None else trials, scale=scale, eta=eta, d0=d0)
-    _execute(config, out, fairness_variant)
+    _execute(harness.fig6_config(seed, trials, scale, eta, d0), out, fairness_variant)
 
 
 @main.command()
@@ -110,18 +109,19 @@ def run(config_file, seed, trials, out, scale, eta, d0, fairness_variant) -> Non
     """Run a custom experiment from a JSON config file."""
     try:
         config = harness.config_from_dict(json.loads(Path(config_file).read_text()))
-    except (ConfigurationError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    if seed is not None:
-        config = dataclasses.replace(config, master_seed=seed)
-    if trials is not None:
-        config = dataclasses.replace(config, trial_count=trials)
-    if eta is not None:
-        config = dataclasses.replace(config, scenario=dataclasses.replace(config.scenario, pathloss_exponent=eta))
-    if d0 is not None:
-        config = dataclasses.replace(config, scenario=dataclasses.replace(config.scenario, reference_distance_m=d0))
-    config = harness.apply_scale(config, scale)
+    config = harness.with_overrides(config, seed, trials, scale, eta, d0)
     _execute(config, out or config.output_path, fairness_variant)
+
+
+@dataclass(frozen=True)
+class _BareSynth:
+    """A ``synth`` config without ``kind``: a stack, its ``pgd`` block and the master seed."""
+
+    stack: dict
+    pgd: dict = field(default_factory=dict)
+    master_seed: int = 0
 
 
 @main.command()
@@ -135,30 +135,23 @@ def synth(config_file, seed, out) -> None:
     """
     try:
         data = json.loads(Path(config_file).read_text())
-        if "kind" in data:
+        if isinstance(data, dict) and "kind" in data:
             config = harness.config_from_dict(data)
-            stack_desc, pgd_overrides = config.stack, dict(config.pgd)
-            master = config.master_seed
+            stack_desc, pgd_overrides, master = config.stack, dict(config.pgd), config.master_seed
         else:
-            unknown = sorted(set(data) - {"stack", "pgd", "master_seed"})
-            if unknown:
-                raise ConfigurationError(f"unknown synth config fields: {', '.join(unknown)}")
-            stack_desc = StackDescription.from_dict(data["stack"])
-            pgd_overrides = harness.check_pgd_block(data.get("pgd", {}))
-            master = int(data.get("master_seed", 0))
-    except (ConfigurationError, json.JSONDecodeError, KeyError) as exc:
+            bare = _BareSynth(**read_object("synth config", data, _BareSynth))
+            stack_desc = StackDescription.from_dict(bare.stack)
+            pgd_overrides = harness.check_pgd_block(bare.pgd)
+            master = int(bare.master_seed)
+        if seed is not None:
+            master = seed
+        stack = build_stack(stack_desc)
+        state = harness.synthesize(stack, pgd_overrides, master, trial=0)
+    except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    if seed is not None:
-        master = seed
 
     out_dir = Path(out) if out else Path("results") / "synth"
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        stack = build_stack(stack_desc)
-        state = harness.synthesize(stack, pgd_overrides, master, trial=0)
-    except (ConfigurationError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
-
     write_trace_csv(state, out_dir / "pgd_trace.csv")
     summary = {
         "stack": stack_desc.to_dict(),

@@ -43,7 +43,7 @@ from .downlink import (
     schedule_slot,
     ta_sum_rate,
 )
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, read_object
 from .pgd import PgdConfig, PgdState, constraint_deviation, run_pgd, write_trace_csv
 from .randomizer import draw_slot_phases, stream_seed
 from .stack import SimStack, StackDescription, build_stack, radiated_power_ratio, slot_response
@@ -64,6 +64,7 @@ __all__ = [
     "fig5_config",
     "fig6_config",
     "apply_scale",
+    "with_overrides",
     "config_from_dict",
     "config_to_dict",
 ]
@@ -99,8 +100,12 @@ class SweepAxes:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None:
+            if value is None:
+                continue
+            try:
                 object.__setattr__(self, f.name, tuple(int(v) for v in value))
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"sweep axis {f.name} must be a list of integers, got {value!r}") from exc
 
     def axes(self) -> list[tuple[str, tuple[int, ...]]]:
         names = {
@@ -113,14 +118,6 @@ class SweepAxes:
 
     def to_dict(self) -> dict:
         return {f.name: (list(v) if (v := getattr(self, f.name)) is not None else None) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepAxes":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(f"unknown sweep fields: {', '.join(unknown)}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -161,22 +158,12 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(f"unknown config fields: {', '.join(unknown)}")
-    missing = sorted({"kind", "stack", "scenario", "sweep"} - set(data))
-    if missing:
-        raise ConfigurationError(f"missing config fields: {', '.join(missing)}")
-    scenario_fields = {f.name for f in fields(DownlinkScenario)}
-    unknown_scenario = sorted(set(data["scenario"]) - scenario_fields)
-    if unknown_scenario:
-        raise ConfigurationError(f"unknown scenario fields: {', '.join(unknown_scenario)}")
+    data = read_object("config", data, ExperimentConfig)
     return ExperimentConfig(
         kind=ExperimentKind(data["kind"]),
         stack=StackDescription.from_dict(data["stack"]),
-        scenario=DownlinkScenario(**data["scenario"]),
-        sweep=SweepAxes.from_dict(data["sweep"]),
+        scenario=DownlinkScenario(**read_object("scenario", data["scenario"], DownlinkScenario)),
+        sweep=SweepAxes(**read_object("sweep", data["sweep"], SweepAxes)),
         trial_count=int(data.get("trial_count", 1)),
         master_seed=int(data.get("master_seed", 0)),
         output_path=data.get("output_path"),
@@ -187,12 +174,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def check_pgd_block(block: dict) -> dict:
     """Checked copy of a config's ``pgd`` block: :class:`PgdConfig` fields except the derived ``seed``."""
+    block = read_object("pgd", block, PgdConfig)
     if "seed" in block:
         raise ConfigurationError("pgd seed cannot be set: it is derived from master_seed")
-    unknown = sorted(set(block) - {f.name for f in fields(PgdConfig)})
-    if unknown:
-        raise ConfigurationError(f"unknown pgd fields: {', '.join(unknown)}")
-    return dict(block)
+    return block
 
 
 # -- sweep-point expansion -----------------------------------------------------
@@ -270,6 +255,11 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             )
         if config.scenario.carrier_hz != config.stack.frequency_hz:
             problems.append("scenario carrier_hz must match the stack's frequency_hz")
+        if config.sweep.slot_counts is None and config.scenario.slot_count != config.stack.slot_count:
+            problems.append(
+                f"scenario slot_count ({config.scenario.slot_count}) must match "
+                f"the stack's slot_count ({config.stack.slot_count})"
+            )
     try:
         PgdConfig(**check_pgd_block(config.pgd))
     except ValueError as exc:
@@ -508,80 +498,45 @@ def write_summary_json(records: list[ResultRecord], config: ExperimentConfig, pa
 
 # -- presets ------------------------------------------------------------------------
 
+_SYNTH_STACK = StackDescription(
+    input_shape=(3, 3), inner_shape=(8, 8), output_shape=(5, 5), ac_layers=4, pc_layers=8, slot_count=1
+)
+_SYNTH_SCENARIO = DownlinkScenario(user_count=1, slot_count=1, streams=4)
+_DOWNLINK_STACK = StackDescription(
+    input_shape=(10, 10), inner_shape=(24, 24), output_shape=(3, 3), ac_layers=2, pc_layers=6, slot_count=2
+)
+_DOWNLINK_SCENARIO = DownlinkScenario(user_count=500, slot_count=2, streams=4)
+_DOWNLINK_USERS = (10, 50, 100, 200, 350, 500)
 
-def _synth_scenario(slot_count: int = 1) -> DownlinkScenario:
-    return DownlinkScenario(user_count=1, slot_count=slot_count, streams=4)
 
-
-def fig3_config(seed: int = 0, trials: int = 5, scale: float = 1.0) -> ExperimentConfig:
+def fig3_config(seed: int | None = None, trials: int | None = None, scale: float = 1.0) -> ExperimentConfig:
     """Final synthesis error versus phase-controlled layer count, for several
     inner layer sizes."""
-    stack = StackDescription(
-        input_shape=(3, 3),
-        inner_shape=(8, 8),
-        output_shape=(5, 5),
-        ac_layers=4,
-        pc_layers=8,
-        alpha_pc=0.9,
-        slot_count=1,
-    )
     config = ExperimentConfig(
         kind=ExperimentKind.SYNTH_SWEEP_LAYERS,
-        stack=stack,
-        scenario=_synth_scenario(),
+        stack=_SYNTH_STACK,
+        scenario=_SYNTH_SCENARIO,
         sweep=SweepAxes(inner_counts=(25, 36, 49, 64), pc_layer_counts=tuple(range(4, 15))),
-        trial_count=trials,
-        master_seed=seed,
+        trial_count=5,
     )
-    return apply_scale(config, scale)
+    return with_overrides(config, seed, trials, scale)
 
 
-def fig4_config(seed: int = 0, trials: int = 5, scale: float = 1.0) -> ExperimentConfig:
+def fig4_config(seed: int | None = None, trials: int | None = None, scale: float = 1.0) -> ExperimentConfig:
     """Optimizer convergence traces for several inner layer sizes."""
-    stack = StackDescription(
-        input_shape=(3, 3),
-        inner_shape=(8, 8),
-        output_shape=(5, 5),
-        ac_layers=4,
-        pc_layers=8,
-        alpha_pc=0.9,
-        slot_count=1,
-    )
     config = ExperimentConfig(
         kind=ExperimentKind.SYNTH_CONVERGENCE,
-        stack=stack,
-        scenario=_synth_scenario(),
+        stack=_SYNTH_STACK,
+        scenario=_SYNTH_SCENARIO,
         sweep=SweepAxes(inner_counts=(25, 36, 49, 64)),
-        trial_count=trials,
-        master_seed=seed,
+        trial_count=5,
     )
-    return apply_scale(config, scale)
-
-
-def _downlink_stack(slot_count: int) -> StackDescription:
-    return StackDescription(
-        input_shape=(10, 10),
-        inner_shape=(24, 24),
-        output_shape=(3, 3),
-        ac_layers=2,
-        pc_layers=6,
-        alpha_pc=0.9,
-        slot_count=slot_count,
-    )
-
-
-def _downlink_scenario(slot_count: int, eta: float | None, d0: float | None) -> DownlinkScenario:
-    scenario = DownlinkScenario(user_count=500, slot_count=slot_count, streams=4)
-    if eta is not None:
-        scenario = dataclasses.replace(scenario, pathloss_exponent=eta)
-    if d0 is not None:
-        scenario = dataclasses.replace(scenario, reference_distance_m=d0)
-    return scenario
+    return with_overrides(config, seed, trials, scale)
 
 
 def fig5_config(
-    seed: int = 0,
-    trials: int = 100,
+    seed: int | None = None,
+    trials: int | None = None,
     scale: float = 1.0,
     eta: float | None = None,
     d0: float | None = None,
@@ -594,19 +549,18 @@ def fig5_config(
     """
     config = ExperimentConfig(
         kind=ExperimentKind.SUMRATE_VS_USERS,
-        stack=_downlink_stack(slot_count=2),
-        scenario=_downlink_scenario(slot_count=2, eta=eta, d0=d0),
-        sweep=SweepAxes(user_counts=(10, 50, 100, 200, 350, 500)),
-        trial_count=trials,
-        master_seed=seed,
+        stack=_DOWNLINK_STACK,
+        scenario=_DOWNLINK_SCENARIO,
+        sweep=SweepAxes(user_counts=_DOWNLINK_USERS),
+        trial_count=100,
         pgd={"max_iterations": 300},
     )
-    return apply_scale(config, scale)
+    return with_overrides(config, seed, trials, scale, eta, d0)
 
 
 def fig6_config(
-    seed: int = 0,
-    trials: int = 100,
+    seed: int | None = None,
+    trials: int | None = None,
     scale: float = 1.0,
     eta: float | None = None,
     d0: float | None = None,
@@ -614,14 +568,30 @@ def fig6_config(
     """Fairness versus user count for several slot counts."""
     config = ExperimentConfig(
         kind=ExperimentKind.FAIRNESS_VS_USERS,
-        stack=_downlink_stack(slot_count=2),
-        scenario=_downlink_scenario(slot_count=2, eta=eta, d0=d0),
-        sweep=SweepAxes(user_counts=(10, 50, 100, 200, 350, 500), slot_counts=(1, 2, 3)),
-        trial_count=trials,
-        master_seed=seed,
+        stack=_DOWNLINK_STACK,
+        scenario=_DOWNLINK_SCENARIO,
+        sweep=SweepAxes(user_counts=_DOWNLINK_USERS, slot_counts=(1, 2, 3)),
+        trial_count=100,
         pgd={"max_iterations": 300},
     )
-    return apply_scale(config, scale)
+    return with_overrides(config, seed, trials, scale, eta, d0)
+
+
+def with_overrides(
+    config: ExperimentConfig,
+    seed: int | None = None,
+    trials: int | None = None,
+    scale: float | None = None,
+    eta: float | None = None,
+    d0: float | None = None,
+) -> ExperimentConfig:
+    """``config`` with the command-line overrides applied: master seed, trial
+    count, path-loss exponent and reference distance, then :func:`apply_scale`.
+    ``None`` keeps the config's value."""
+    link = {k: v for k, v in (("pathloss_exponent", eta), ("reference_distance_m", d0)) if v is not None}
+    flags = {k: v for k, v in (("master_seed", seed), ("trial_count", trials)) if v is not None}
+    config = dataclasses.replace(config, scenario=dataclasses.replace(config.scenario, **link), **flags)
+    return config if scale is None else apply_scale(config, scale)
 
 
 def _scale_side(side: int, factor: float, minimum: int) -> int:

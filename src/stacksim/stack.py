@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_object
 from .geometry import GridSpec
 from .propagation import SPEED_OF_LIGHT, KernelParams, build_propagation_matrix
 from .randomizer import TWO_PI, SlotPhases
@@ -188,11 +188,7 @@ class StackDescription:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StackDescription":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(f"unknown stack fields: {', '.join(unknown)}")
-        return cls(**data)
+        return cls(**read_object("stack", data, cls))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -243,10 +239,6 @@ class SimStack:
         self._space_block: np.ndarray | None = None
 
     # -- sizes ---------------------------------------------------------------
-    @property
-    def stream_count(self) -> int:
-        return self.upa_grid.total
-
     @property
     def input_size(self) -> int:
         return self.input_grid.total
@@ -299,9 +291,6 @@ class SimStack:
 
     def coefficients_of(self, layer: int) -> LayerCoefficients:
         return self._coefficients[self._pos(layer)]
-
-    def gamma(self, layer: int) -> np.ndarray:
-        return self._coefficients[self._pos(layer)].values
 
     def gammas(self) -> list[np.ndarray]:
         return [c.values for c in self._coefficients]
@@ -423,8 +412,8 @@ def compose_space_block(stack: SimStack) -> np.ndarray:
 
 
 def response_for_coefficients(stack: SimStack, delta: np.ndarray) -> np.ndarray:
-    """End-to-end response ``output_size x stream_count`` for an arbitrary
-    input-layer coefficient vector ``delta``."""
+    """End-to-end response, one row per output cell and one column per feed
+    antenna, for an arbitrary input-layer coefficient vector ``delta``."""
     delta = np.asarray(delta)
     if delta.shape != (stack.input_size,):
         raise ConfigurationError(f"delta must have length {stack.input_size}, got {delta.shape}")

@@ -137,6 +137,62 @@ def test_zero_trials_rejected(runner, tmp_path, command):
     assert "trial_count must be at least 1" in result.output
 
 
+SMALL_STACK = {
+    "input_shape": [2, 2],
+    "inner_shape": [3, 3],
+    "output_shape": [3, 3],
+    "ac_layers": 1,
+    "pc_layers": 2,
+    "upa_shape": [2, 2],
+    "slot_count": 2,
+}
+NO_AC_LAYERS = {k: v for k, v in SMALL_STACK.items() if k != "ac_layers"}
+
+
+def small_run_config(**changes):
+    config = {
+        "kind": "custom",
+        "stack": SMALL_STACK,
+        "scenario": {"user_count": 6, "slot_count": 2},
+        "sweep": {},
+        "trial_count": 1,
+        "pgd": {"max_iterations": 5},
+    }
+    return {**config, **changes}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("run", small_run_config(stack=NO_AC_LAYERS), "missing stack fields: ac_layers"),
+        ("run", small_run_config(scenario={"slot_count": 2}), "missing scenario fields: user_count"),
+        ("run", small_run_config(stack=[]), "stack must be a JSON object, got list"),
+        ("run", small_run_config(kind="bogus"), "'bogus' is not a valid ExperimentKind"),
+        ("run", small_run_config(trial_count="abc"), "invalid literal for int() with base 10: 'abc'"),
+        ("run", small_run_config(sweep={"user_counts": 5}), "sweep axis user_counts must be a list of integers, got 5"),
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "slot_count": 1}),
+            "scenario slot_count (2) must match the stack's slot_count (1)",
+        ),
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "slot_count": 3}),
+            "scenario slot_count (2) must match the stack's slot_count (3)",
+        ),
+        ("synth", {"stack": NO_AC_LAYERS}, "missing stack fields: ac_layers"),
+    ],
+)
+def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, config, message):
+    config_file = tmp_path / "bad.json"
+    config_file.write_text(json.dumps(config))
+    result = runner.invoke(main, [command, str(config_file), "--out", str(tmp_path / "out")])
+    assert result.exit_code != 0
+    assert message in result.output
+    assert result.output.count("Error:") == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_synth_matches_experiment_trial_zero(runner, tmp_path):
     stack = ss.StackDescription(
         input_shape=(2, 2), inner_shape=(3, 3), output_shape=(3, 3), ac_layers=1, pc_layers=2, upa_shape=(2, 2)

@@ -52,6 +52,16 @@ def test_any_other_difference_fails(tmp_path, capsys, change, expected):
     assert expected in capsys.readouterr().out
 
 
+def test_summary_json_compared_exactly(tmp_path, capsys):
+    parent, change = write_run(tmp_path / "a"), write_run(tmp_path / "b")
+    for root, seed in ((parent, 2), (change, 3)):
+        (root / "fig4" / "summary.json").write_text(json.dumps({"config": {"master_seed": seed}, "summary": []}))
+    assert compare_outputs.main([str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert "fig4/summary.json: config.master_seed: 1 differing records, largest relative difference 0.333" in out
+    assert "4 files compared, 1 differing records" in out
+
+
 def test_file_on_one_side_only_fails(tmp_path, capsys):
     parent, change = write_run(tmp_path / "a"), write_run(tmp_path / "b")
     (change / "pgd_trace.csv").write_text(TRACE[0] + "\n")

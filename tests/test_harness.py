@@ -222,6 +222,14 @@ class TestPresetsAndScale:
         problems = harness.validate_config(config)
         assert problems == []
 
+    def test_overrides_apply_given_values_only(self):
+        base = harness.fig6_config()
+        config = harness.with_overrides(base, seed=3, d0=2.0)
+        assert (config.master_seed, config.trial_count) == (3, base.trial_count)
+        assert config.scenario == dataclasses.replace(base.scenario, reference_distance_m=2.0)
+        assert harness.with_overrides(base) == base
+        assert harness.fig6_config(seed=3, d0=2.0) == config
+
     def test_scale_bounds(self):
         with pytest.raises(ValueError):
             harness.apply_scale(harness.fig5_config(), 1.5)

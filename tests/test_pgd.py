@@ -66,7 +66,7 @@ class TestLayerFactors:
         g0 = ss.compose_space_block(stack)
         for layer in stack.space_layers:
             e_factor, b_factor = ss.layer_factors(stack, layer)
-            gamma = stack.gamma(layer)
+            gamma = stack.coefficients_of(layer).values
             for z in range(stack.input_size):
                 column = e_factor @ (b_factor[:, z] * gamma)
                 np.testing.assert_allclose(column, g0[:, z], rtol=1e-12)

@@ -11,7 +11,10 @@ files are paired by their path relative to the directory:
   on the machine;
 - ``trace_*.csv`` and ``pgd_trace.csv``: one record per cell, grouped by
   column;
-- ``synth_summary.json``: one record per leaf, grouped by its key path.
+- ``summary.json`` and ``synth_summary.json``: one record per leaf, grouped
+  by its key path. Neither holds a timing: ``summary.json`` is the summary
+  table plus the resolved config, so a change in how a config is resolved
+  shows here.
 
 For every group with a difference it prints the number of differing records
 and the largest relative difference (``inf`` where a value is not a number or
@@ -30,7 +33,7 @@ from collections import defaultdict
 from itertools import zip_longest
 from pathlib import Path
 
-PATTERNS = ("results.csv", "trace_*.csv", "pgd_trace.csv", "synth_summary.json")
+PATTERNS = ("results.csv", "trace_*.csv", "pgd_trace.csv", "summary.json", "synth_summary.json")
 IGNORED_COLUMNS = {"elapsed_s"}
 MISSING = "<missing>"
 
