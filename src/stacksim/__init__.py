@@ -57,7 +57,7 @@ from .pgd import (
     write_trace_csv,
 )
 from .propagation import SPEED_OF_LIGHT, KernelParams, build_propagation_matrix, rs_kernel
-from .randomizer import SlotPhases, draw_slot_phases, stream_rng, stream_seed
+from .randomizer import draw_slot_phases, stream_rng, stream_seed
 from .stack import (
     LayerCoefficients,
     LayerKind,
@@ -68,7 +68,6 @@ from .stack import (
     db_to_amplitude,
     power_ratio,
     radiated_power_ratio,
-    response_for_coefficients,
     slot_response,
 )
 from .target import TargetMatrix, generate_target

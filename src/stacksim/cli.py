@@ -14,13 +14,8 @@ from .errors import ValidationError, read_object
 from .pgd import constraint_deviation, write_trace_csv
 from .stack import StackDescription, build_stack
 
-_HEADLINE = {
-    "synth_sweep_layers": "objective_db",
-    "synth_convergence": "objective_db",
-    "sumrate_vs_users": "ta_sum_rate",
-    "fairness_vs_users": "fairness_coherence",
-    "custom": "objective_db",
-}
+# Metrics whose medians the console prints; objective_db for the other kinds.
+_HEADLINES = {"sumrate_vs_users": ("ta_sum_rate",), "fairness_vs_users": ("fairness_per_slot", "fairness_coherence")}
 
 
 @click.group()
@@ -38,39 +33,30 @@ def _preset_options(downlink: bool):
         if downlink:
             f = click.option("--eta", type=float, default=None, help="Path-loss exponent override.")(f)
             f = click.option("--d0", type=float, default=None, help="Reference distance override (m).")(f)
-            f = click.option(
-                "--fairness-variant",
-                type=click.Choice(["per-slot", "coherence"]),
-                default="coherence",
-                show_default=True,
-                help="Fairness variant highlighted in the console summary.",
-            )(f)
         return f
 
     return wrap
 
 
-def _execute(config: harness.ExperimentConfig, out: str | None, fairness_variant: str = "coherence") -> None:
+def _execute(config: harness.ExperimentConfig, out: str | None) -> None:
     out_dir = Path(out) if out else Path("results") / config.kind.value
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace_dir = out_dir if config.kind is harness.ExperimentKind.SYNTH_CONVERGENCE else None
     try:
-        records = harness.run_experiment(config, trace_dir=trace_dir)
+        records = harness.run_experiment(config, trace_dir=out_dir)
     except ValidationError as exc:
         raise click.ClickException(str(exc)) from exc
     harness.write_csv(records, out_dir / "results.csv")
     harness.write_summary_json(records, config, out_dir / "summary.json")
 
-    headline = _HEADLINE[config.kind.value]
-    if headline.startswith("fairness"):
-        headline = "fairness_per_slot" if fairness_variant == "per-slot" else "fairness_coherence"
-    rows = [r for r in harness.summarize(records) if r.get("metric") == headline]
-    if rows:
-        keys = [k for k, _ in records[0].sweep]
-        click.echo(f"{headline} (median over trials):")
-        for row in rows:
-            label = ", ".join(f"{k}={row[k]}" for k in keys) or "base point"
-            click.echo(f"  {label}: {row['median']:.4g}")
+    summary = harness.summarize(records)
+    for headline in _HEADLINES.get(config.kind.value, ("objective_db",)):
+        rows = [r for r in summary if r.get("metric") == headline]
+        if rows:
+            keys = [k for k, _ in records[0].sweep]
+            click.echo(f"{headline} (median over trials):")
+            for row in rows:
+                label = ", ".join(f"{k}={row[k]}" for k in keys) or "base point"
+                click.echo(f"  {label}: {row['median']:.4g}")
     click.echo(f"wrote {out_dir / 'results.csv'} and {out_dir / 'summary.json'}")
 
 
@@ -90,29 +76,29 @@ def fig4(seed, trials, out, scale) -> None:
 
 @main.command()
 @_preset_options(downlink=True)
-def fig5(seed, trials, out, scale, eta, d0, fairness_variant) -> None:
+def fig5(seed, trials, out, scale, eta, d0) -> None:
     """Time-averaged sum rate vs user count, against the full-feedback baseline."""
-    _execute(harness.fig5_config(seed, trials, scale, eta, d0), out, fairness_variant)
+    _execute(harness.fig5_config(seed, trials, scale, eta, d0), out)
 
 
 @main.command()
 @_preset_options(downlink=True)
-def fig6(seed, trials, out, scale, eta, d0, fairness_variant) -> None:
+def fig6(seed, trials, out, scale, eta, d0) -> None:
     """Fairness vs user count for several slot counts."""
-    _execute(harness.fig6_config(seed, trials, scale, eta, d0), out, fairness_variant)
+    _execute(harness.fig6_config(seed, trials, scale, eta, d0), out)
 
 
 @main.command()
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False))
 @_preset_options(downlink=True)
-def run(config_file, seed, trials, out, scale, eta, d0, fairness_variant) -> None:
+def run(config_file, seed, trials, out, scale, eta, d0) -> None:
     """Run a custom experiment from a JSON config file."""
     try:
         config = harness.config_from_dict(json.loads(Path(config_file).read_text()))
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     config = harness.with_overrides(config, seed, trials, scale, eta, d0)
-    _execute(config, out or config.output_path, fairness_variant)
+    _execute(config, out or config.output_path)
 
 
 @dataclass(frozen=True)
@@ -141,7 +127,7 @@ def synth(config_file, seed, out) -> None:
         else:
             bare = _BareSynth(**read_object("synth config", data, _BareSynth))
             stack_desc = StackDescription.from_dict(bare.stack)
-            pgd_overrides = harness.check_pgd_block(bare.pgd)
+            pgd_overrides = harness.check_pgd_block(bare.pgd, stack_desc)
             master = int(bare.master_seed)
         if seed is not None:
             master = seed

@@ -123,14 +123,9 @@ class Users:
 class SlotScheduleResult:
     """Per-beam outcome of one slot: winning user (or UNSERVED), SINR, rate."""
 
-    slot: int
     beam_users: np.ndarray  # (streams,) int
     beam_sinrs: np.ndarray  # (streams,) float, 0 where unserved
     beam_rates: np.ndarray  # (streams,) float, 0 where unserved
-
-    @property
-    def served_sum_rate(self) -> float:
-        return float(np.sum(self.beam_rates))
 
 
 class FairnessVariant(str, Enum):
@@ -203,7 +198,7 @@ def sinr_matrix(effective: np.ndarray, noise_over_energy: float) -> np.ndarray:
     return power / (total - power + noise_over_energy)
 
 
-def schedule_slot(effective: np.ndarray, noise_over_energy: float, slot: int = 0) -> SlotScheduleResult:
+def schedule_slot(effective: np.ndarray, noise_over_energy: float) -> SlotScheduleResult:
     """Opportunistic assignment from best-beam feedback.
 
     Every user reports the index of its highest-SINR beam (ties toward the
@@ -228,14 +223,14 @@ def schedule_slot(effective: np.ndarray, noise_over_energy: float, slot: int = 0
         beam_users[n] = winner
         beam_sinrs[n] = reported[winner]
         beam_rates[n] = math.log2(1.0 + reported[winner])
-    return SlotScheduleResult(slot=slot, beam_users=beam_users, beam_sinrs=beam_sinrs, beam_rates=beam_rates)
+    return SlotScheduleResult(beam_users=beam_users, beam_sinrs=beam_sinrs, beam_rates=beam_rates)
 
 
 def ta_sum_rate(results: list[SlotScheduleResult]) -> float:
     """Served rates summed per slot, averaged over the coherence interval."""
     if not results:
         raise ValueError("need at least one slot result")
-    return float(np.mean([r.served_sum_rate for r in results]))
+    return float(np.mean([np.sum(r.beam_rates) for r in results]))
 
 
 def per_user_rate_matrix(results: list[SlotScheduleResult], user_count: int) -> np.ndarray:
@@ -255,28 +250,21 @@ def _jain(values: np.ndarray) -> float:
     return float(np.sum(values)) ** 2 / square_sum
 
 
-def fairness_index(
-    per_user_rates: np.ndarray,
-    variant: FairnessVariant = FairnessVariant.COHERENCE_WINDOW,
-    normalized: bool = False,
-) -> float:
+def fairness_index(per_user_rates: np.ndarray, variant: FairnessVariant = FairnessVariant.COHERENCE_WINDOW) -> float:
     """Unnormalized Jain index of the served rates.
 
     PER_SLOT evaluates the index slot by slot and averages (a slot with no
     service contributes 0); COHERENCE_WINDOW evaluates it once on the
     per-user rates averaged over the interval, which is the variant that
-    exposes how many distinct users the interval served. ``normalized``
-    divides by the user count, mapping onto [0, 1].
+    exposes how many distinct users the interval served.
     """
     rates = np.atleast_2d(np.asarray(per_user_rates, dtype=float))
     if np.any(rates < 0):
         raise ValueError("rates must be non-negative")
     variant = FairnessVariant(variant)
     if variant is FairnessVariant.PER_SLOT:
-        value = float(np.mean([_jain(rates[:, m]) for m in range(rates.shape[1])]))
-    else:
-        value = _jain(rates.mean(axis=1))
-    return value / rates.shape[0] if normalized else value
+        return float(np.mean([_jain(rates[:, m]) for m in range(rates.shape[1])]))
+    return _jain(rates.mean(axis=1))
 
 
 def overhead(streams: int, slots: int, users: int, output_size: int, eta_feedback: float = 1.0) -> OverheadCounts:
@@ -297,9 +285,8 @@ def baseline_mimo(
     users: Users,
     streams: int,
     noise_over_energy: float,
-    slots: int,
     total_precoder_power: float = 1.0,
-) -> list[SlotScheduleResult]:
+) -> SlotScheduleResult:
     """Full-feedback baseline: serve the ``streams`` strongest channels.
 
     Selects the users with the largest fading energy (ties toward the smaller
@@ -307,7 +294,8 @@ def baseline_mimo(
     norm, and rescales the precoder set by one common factor so the total
     transmit power matches ``total_precoder_power`` (the randomized scheme's
     radiated-power ratio, for a like-for-like power budget). Channels are
-    block-constant, so the same assignment repeats in every slot.
+    block-constant, so the one result holds for every slot of the coherence
+    interval.
     """
     if len(users) < streams:
         raise ConfigurationError(f"need at least {streams} users, got {len(users)}")
@@ -326,8 +314,4 @@ def baseline_mimo(
     power = np.abs(effective_channels(chosen, precoders)) ** 2
     signal = np.diag(power)
     beam_sinrs = signal / (power.sum(axis=1) - signal + noise_over_energy)
-    beam_rates = np.log2(1.0 + beam_sinrs)
-    return [
-        SlotScheduleResult(slot=m, beam_users=selected.copy(), beam_sinrs=beam_sinrs.copy(), beam_rates=beam_rates.copy())
-        for m in range(slots)
-    ]
+    return SlotScheduleResult(beam_users=selected, beam_sinrs=beam_sinrs, beam_rates=np.log2(1.0 + beam_sinrs))

@@ -11,12 +11,20 @@ class ValidationError(ValueError):
     """Experiment configuration failed validation; message lists every violation."""
 
 
+# JSON value types accepted for each scalar field annotation, and their names;
+# other annotations (shapes, enums, nested sections) are left to their readers.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "dict": (dict,)}
+_NAMES = {"int": "an integer", "float": "a number", "str": "a string", "bool": "a boolean", "dict": "a JSON object"}
+
+
 def read_object(section: str, data, cls) -> dict:
     """Checked copy of the JSON object ``data`` of config section ``section``,
     whose fields are those of the dataclass ``cls``.
 
-    Rejects a value that is not an object, fields ``cls`` does not have, and
-    missing fields that ``cls`` gives no default.
+    Rejects a value that is not an object, fields ``cls`` does not have,
+    missing fields that ``cls`` gives no default, and scalar values whose JSON
+    type does not match the field's annotation (``true`` is not an integer;
+    an integer is a number).
     """
     if not isinstance(data, dict):
         raise ConfigurationError(f"{section} must be a JSON object, got {type(data).__name__}")
@@ -27,4 +35,12 @@ def read_object(section: str, data, cls) -> dict:
     missing = sorted(required - set(data))
     if missing:
         raise ConfigurationError(f"missing {section} fields: {', '.join(missing)}")
+    for f in fields(cls):
+        value = data.get(f.name)
+        kinds = [k.strip() for k in str(getattr(f.type, "__name__", f.type)).split("|")]
+        if f.name not in data or (value is None and "None" in kinds) or kinds[0] not in _JSON_TYPES:
+            continue
+        types, expected = _JSON_TYPES[kinds[0]], _NAMES[kinds[0]]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ConfigurationError(f"{section} field {f.name} must be {expected}, got {type(value).__name__}")
     return dict(data)

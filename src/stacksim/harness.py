@@ -172,11 +172,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
 
 
-def check_pgd_block(block: dict) -> dict:
-    """Checked copy of a config's ``pgd`` block: :class:`PgdConfig` fields except the derived ``seed``."""
+def check_pgd_block(block: dict, stack: StackDescription | None = None) -> dict:
+    """Checked copy of a config's ``pgd`` block: :class:`PgdConfig` fields except
+    the derived ``seed``. Given the ``stack`` it runs on, the values are checked
+    too, amplitude bounds included, and reported as "pgd: ..."."""
     block = read_object("pgd", block, PgdConfig)
     if "seed" in block:
         raise ConfigurationError("pgd seed cannot be set: it is derived from master_seed")
+    if stack is not None:
+        try:
+            PgdConfig(**block).bounds_for(stack)
+        except ValueError as exc:
+            raise ConfigurationError(f"pgd: {exc}") from exc
     return block
 
 
@@ -261,9 +268,9 @@ def validate_config(config: ExperimentConfig) -> list[str]:
                 f"the stack's slot_count ({config.stack.slot_count})"
             )
     try:
-        PgdConfig(**check_pgd_block(config.pgd))
-    except ValueError as exc:
-        problems.append(f"pgd: {exc}")
+        check_pgd_block(config.pgd, config.stack)
+    except ConfigurationError as exc:
+        problems.append(str(exc))
     return problems
 
 
@@ -274,7 +281,7 @@ def _warn_training_budget(config: ExperimentConfig) -> None:
     n = config.scenario.streams
     slot_values = config.sweep.slot_counts or (config.scenario.slot_count,)
     for m in slot_values:
-        if m > v / n:
+        if not overhead(n, m, 1, v).within_training_budget:
             warnings.warn(
                 f"slot count {m} exceeds the training-overhead budget ({v}/{n}); "
                 "partial-feedback training is no longer cheaper than full acquisition",
@@ -401,20 +408,14 @@ def _downlink_metrics(
     users = users_cache[trial][: scenario.user_count]
 
     slots = scenario.slot_count
-    phases = draw_slot_phases(
-        slots,
-        stack.input_size,
-        stream_seed(config.master_seed, "st-phases", trial, slots, synth_key),
-        beta=stack.beta,
-    )
-    stack.set_slot_phases(phases)
+    seed = stream_seed(config.master_seed, "st-phases", trial, slots, synth_key)
+    stack.set_slot_phases(draw_slot_phases(slots, stack.input_size, seed))
     noise = scenario.noise_over_energy
-    results = [
-        schedule_slot(effective_channels(users, slot_response(stack, m)), noise, slot=m) for m in range(slots)
-    ]
+    results = [schedule_slot(effective_channels(users, slot_response(stack, m)), noise) for m in range(slots)]
     rates = per_user_rate_matrix(results, len(users))
     ratio = radiated_power_ratio(stack)
-    base_results = baseline_mimo(users, scenario.streams, noise, slots, total_precoder_power=ratio)
+    # Channels are block-constant: one baseline result serves every slot.
+    base_results = [baseline_mimo(users, scenario.streams, noise, total_precoder_power=ratio)] * slots
     base_rates = per_user_rate_matrix(base_results, len(users))
     counts = overhead(scenario.streams, slots, len(users), stack.output_size, config.eta_feedback)
     return {

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .stack import SimStack, compose, compose_space_block
+from .stack import SimStack, StackDescription, compose, compose_space_block
 from .target import TargetMatrix
 
 __all__ = [
@@ -86,15 +86,21 @@ class PgdConfig:
         if not 0.0 < self.armijo_constant < 1.0:
             raise ValueError("armijo_constant must lie in (0, 1)")
         if self.alpha_min is not None and self.alpha_max is not None:
-            if not 0.0 < self.alpha_min <= self.alpha_max:
-                raise ValueError("need 0 < alpha_min <= alpha_max")
+            _checked_bounds(self.alpha_min, self.alpha_max)
 
-    def bounds_for(self, stack: SimStack) -> tuple[float, float]:
+    def bounds_for(self, stack: SimStack | StackDescription) -> tuple[float, float]:
+        """Amplitude bounds on ``stack``: the config's where set, else the stack's."""
         amin, amax = stack.alpha_bounds
-        return (
+        return _checked_bounds(
             self.alpha_min if self.alpha_min is not None else amin,
             self.alpha_max if self.alpha_max is not None else amax,
         )
+
+
+def _checked_bounds(amin: float, amax: float) -> tuple[float, float]:
+    if not 0.0 < amin <= amax:
+        raise ValueError(f"need 0 < alpha_min <= alpha_max, got ({amin:g}, {amax:g})")
+    return amin, amax
 
 
 @dataclass
@@ -226,9 +232,7 @@ def gradient(stack: SimStack, target: TargetMatrix, layer: int) -> np.ndarray:
 
 def project_amplitude(alpha: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
     """Element-wise clamp onto [alpha_min, alpha_max]."""
-    amin, amax = bounds
-    if not 0.0 < amin <= amax:
-        raise ValueError(f"need 0 < alpha_min <= alpha_max, got {bounds}")
+    amin, amax = _checked_bounds(*bounds)
     return np.clip(np.asarray(alpha, dtype=float), amin, amax)
 
 
@@ -252,7 +256,7 @@ def run_pgd(
     """
     config = config or PgdConfig()
     _check_dimensions(stack, target)
-    amin, amax = config.bounds_for(stack)
+    bounds = config.bounds_for(stack)
     rng = np.random.default_rng(config.seed)
 
     mats = stack.tail_matrices()
@@ -267,7 +271,7 @@ def run_pgd(
             amps.append(np.full(size, stack.alpha_pc))
         else:
             phases.append(stack.coefficients_of(pos + 2).phases.copy())
-            amps.append(np.full(size, float(np.clip(1.0, amin, amax))))
+            amps.append(project_amplitude(np.ones(size), bounds))
     gammas = [a * np.exp(1j * p) for a, p in zip(amps, phases)]
 
     f_current = _objective_value(mats, gammas, target.entries)
@@ -287,7 +291,7 @@ def run_pgd(
             e_factor = e_factors[pos]
             phase_tunable = kinds[pos].phase_tunable
             amplitudes = None if phase_tunable else amps[pos]
-            grad = _layer_gradient(e_factor, b_factor, gammas[pos], target.entries, amplitudes, amin)
+            grad = _layer_gradient(e_factor, b_factor, gammas[pos], target.entries, amplitudes, bounds[0])
             grad_norm_sq = float(grad @ grad)
             f_base = f_next = _layer_objective(e_factor, b_factor, gammas[pos], target.entries)
             step = last_step[pos] * config.step_growth
@@ -297,7 +301,7 @@ def run_pgd(
                     cand_gamma = amps[pos] * np.exp(1j * cand)
                     bound = f_base - config.armijo_constant * step * grad_norm_sq
                 else:
-                    cand = np.clip(amps[pos] - step * grad, amin, amax)
+                    cand = project_amplitude(amps[pos] - step * grad, bounds)
                     cand_gamma = cand * np.exp(1j * phases[pos])
                     bound = f_base + config.armijo_constant * float(grad @ (cand - amps[pos]))
                 f_new = _layer_objective(e_factor, b_factor, cand_gamma, target.entries)

@@ -9,11 +9,10 @@ enabling or disabling one source of randomness never perturbs the others.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SlotPhases", "draw_slot_phases", "stream_seed", "stream_rng"]
+__all__ = ["draw_slot_phases", "stream_seed", "stream_rng"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -37,32 +36,10 @@ def stream_rng(master_seed: int, *parts) -> np.random.Generator:
     return np.random.default_rng(stream_seed(master_seed, *parts))
 
 
-@dataclass(frozen=True)
-class SlotPhases:
-    """Random phases of the time-coded layer: one row of ``element_count``
-    phases in [0, 2*pi) per time slot."""
-
-    phases: np.ndarray  # (slot_count, element_count)
-    beta: float
-    seed: int
-
-    @property
-    def slot_count(self) -> int:
-        return self.phases.shape[0]
-
-    @property
-    def element_count(self) -> int:
-        return self.phases.shape[1]
-
-    def coefficients(self, slot: int) -> np.ndarray:
-        """Complex transmission coefficients ``beta * exp(j*psi)`` for one slot."""
-        if not 0 <= slot < self.slot_count:
-            raise IndexError(f"slot {slot} outside 0..{self.slot_count - 1}")
-        return self.beta * np.exp(1j * self.phases[slot])
-
-
-def draw_slot_phases(slot_count: int, element_count: int, seed: int, beta: float = 1.0) -> SlotPhases:
-    """Draw i.i.d. uniform [0, 2*pi) phases for every (slot, element) pair.
+def draw_slot_phases(slot_count: int, element_count: int, seed: int) -> np.ndarray:
+    """Random phases of the time-coded input layer: a read-only
+    ``(slot_count, element_count)`` array of i.i.d. uniform [0, 2*pi) phases,
+    one row per slot.
 
     Slots are generated from independent child streams of ``seed`` so the
     draw for slot m does not depend on how many later slots are requested.
@@ -73,4 +50,4 @@ def draw_slot_phases(slot_count: int, element_count: int, seed: int, beta: float
     rows = [np.random.default_rng(child).uniform(0.0, TWO_PI, element_count) for child in children]
     phases = np.asarray(rows)
     phases.flags.writeable = False
-    return SlotPhases(phases=phases, beta=beta, seed=seed)
+    return phases

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, read_object
 from .geometry import GridSpec
 from .propagation import SPEED_OF_LIGHT, KernelParams, build_propagation_matrix
-from .randomizer import TWO_PI, SlotPhases
+from .randomizer import TWO_PI
 
 __all__ = [
     "LayerKind",
@@ -34,7 +34,6 @@ __all__ = [
     "compose",
     "compose_space_block",
     "slot_response",
-    "response_for_coefficients",
     "radiated_power_ratio",
     "power_ratio",
     "db_to_amplitude",
@@ -144,6 +143,10 @@ class StackDescription:
         """Total cascade depth L (time-coded input layer plus space-coded layers)."""
         return 1 + self.ac_layers + self.pc_layers
 
+    @property
+    def alpha_bounds(self) -> tuple[float, float]:
+        return (db_to_amplitude(self.alpha_min_db), db_to_amplitude(self.alpha_max_db))
+
     def validate(self) -> list[str]:
         problems = []
         n = self.upa_shape[0] * self.upa_shape[1]
@@ -235,7 +238,7 @@ class SimStack:
         self._tail = tail_matrices
         self._coefficients = coefficients
         self.kinds = tuple(c.kind for c in coefficients)
-        self.slot_phases: SlotPhases | None = None
+        self.slot_phases: np.ndarray | None = None  # (slot_count, input_size)
         self._space_block: np.ndarray | None = None
 
     # -- sizes ---------------------------------------------------------------
@@ -274,7 +277,7 @@ class SimStack:
 
     @property
     def alpha_bounds(self) -> tuple[float, float]:
-        return (db_to_amplitude(self.description.alpha_min_db), db_to_amplitude(self.description.alpha_max_db))
+        return self.description.alpha_bounds
 
     @property
     def w1_frobenius(self) -> float:
@@ -324,13 +327,10 @@ class SimStack:
         self._coefficients[pos] = new
         self._space_block = None
 
-    def set_slot_phases(self, phases: SlotPhases | np.ndarray) -> None:
-        """Install the per-slot phase code of the time-coded input layer;
-        rows beyond the stack's slot count are dropped."""
-        if isinstance(phases, SlotPhases):
-            matrix = phases.phases
-        else:
-            matrix = np.asarray(phases, dtype=float)
+    def set_slot_phases(self, phases: np.ndarray) -> None:
+        """Install the phases of the time-coded input layer, one row per slot (see
+        :func:`draw_slot_phases`); rows beyond the stack's slot count are dropped."""
+        matrix = np.asarray(phases, dtype=float)
         if matrix.ndim != 2 or matrix.shape[1] != self.input_size:
             raise ConfigurationError(
                 f"slot phases must have shape (slots, {self.input_size}), got {matrix.shape}"
@@ -339,7 +339,7 @@ class SimStack:
             raise ConfigurationError(
                 f"need phases for {self.slot_count} slots, got {matrix.shape[0]}"
             )
-        self.slot_phases = SlotPhases(matrix[: self.slot_count], self.beta, getattr(phases, "seed", -1))
+        self.slot_phases = matrix[: self.slot_count]
 
 
 def build_stack(description: StackDescription) -> SimStack:
@@ -411,21 +411,16 @@ def compose_space_block(stack: SimStack) -> np.ndarray:
     return stack._space_block
 
 
-def response_for_coefficients(stack: SimStack, delta: np.ndarray) -> np.ndarray:
-    """End-to-end response, one row per output cell and one column per feed
-    antenna, for an arbitrary input-layer coefficient vector ``delta``."""
-    delta = np.asarray(delta)
-    if delta.shape != (stack.input_size,):
-        raise ConfigurationError(f"delta must have length {stack.input_size}, got {delta.shape}")
-    return compose_space_block(stack) @ (delta[:, None] * stack.feed_matrix)
-
-
 def slot_response(stack: SimStack, slot: int) -> np.ndarray:
-    """Per-slot steering matrix: space block times the slot's input-layer code
-    times the feed matrix. Constant within a slot."""
+    """End-to-end response of one slot, one row per output cell and one column
+    per feed antenna: the space block times the slot's input-layer
+    coefficients ``beta * exp(j*phases[slot])`` times the feed matrix."""
     if stack.slot_phases is None:
         raise ConfigurationError("slot phases have not been set")
-    return response_for_coefficients(stack, stack.slot_phases.coefficients(slot))
+    if not 0 <= slot < stack.slot_count:
+        raise IndexError(f"slot {slot} outside 0..{stack.slot_count - 1}")
+    delta = stack.beta * np.exp(1j * stack.slot_phases[slot])
+    return compose_space_block(stack) @ (delta[:, None] * stack.feed_matrix)
 
 
 def power_ratio(space_block: np.ndarray, feed_matrix: np.ndarray, beta: float) -> float:

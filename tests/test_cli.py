@@ -168,7 +168,7 @@ def small_run_config(**changes):
         ("run", small_run_config(scenario={"slot_count": 2}), "missing scenario fields: user_count"),
         ("run", small_run_config(stack=[]), "stack must be a JSON object, got list"),
         ("run", small_run_config(kind="bogus"), "'bogus' is not a valid ExperimentKind"),
-        ("run", small_run_config(trial_count="abc"), "invalid literal for int() with base 10: 'abc'"),
+        ("run", small_run_config(trial_count="abc"), "config field trial_count must be an integer, got str"),
         ("run", small_run_config(sweep={"user_counts": 5}), "sweep axis user_counts must be a list of integers, got 5"),
         (
             "run",
@@ -181,6 +181,31 @@ def small_run_config(**changes):
             "scenario slot_count (2) must match the stack's slot_count (3)",
         ),
         ("synth", {"stack": NO_AC_LAYERS}, "missing stack fields: ac_layers"),
+        # Inverted amplitude bounds: alpha_min above the stack's 13 dB maximum.
+        ("run", small_run_config(pgd={"alpha_min": 5.0}), "pgd: need 0 < alpha_min <= alpha_max, got (5, 4.46684)"),
+        ("synth", {"stack": SMALL_STACK, "pgd": {"alpha_min": 5.0}}, "pgd: need 0 < alpha_min <= alpha_max, got (5"),
+        ("run", small_run_config(pgd={"alpha_max": 0.01}), "pgd: need 0 < alpha_min <= alpha_max, got (0.0794"),
+        # A value of the wrong JSON type; true is not an integer.
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "ac_layers": "1"}),
+            "stack field ac_layers must be an integer, got str",
+        ),
+        (
+            "run",
+            small_run_config(scenario={"user_count": "6", "slot_count": 2}),
+            "scenario field user_count must be an integer, got str",
+        ),
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "ac_layers": True}),
+            "stack field ac_layers must be an integer, got bool",
+        ),
+        (
+            "synth",
+            {"stack": SMALL_STACK, "pgd": {"max_iterations": "5"}},
+            "pgd field max_iterations must be an integer, got str",
+        ),
     ],
 )
 def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, config, message):
@@ -231,13 +256,13 @@ def test_fig5_scaled_smoke(runner, tmp_path):
 
 
 def test_fig6_fairness_variant_flag(runner, tmp_path):
+    # Both fairness variants are recorded and printed; no flag picks one.
     out = tmp_path / "fig6"
-    result = runner.invoke(
-        main,
-        ["fig6", "--trials", "1", "--scale", "0.12", "--out", str(out), "--fairness-variant", "per-slot"],
-    )
+    result = runner.invoke(main, ["fig6", "--trials", "1", "--scale", "0.12", "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert "fairness_per_slot (median over trials):" in result.output
-    # Both variants are always recorded regardless of the console choice.
+    assert "fairness_coherence (median over trials):" in result.output
     csv_text = (out / "results.csv").read_text()
     assert "fairness_coherence" in csv_text and "fairness_per_slot" in csv_text
+    flag = runner.invoke(main, ["fig6", "--fairness-variant", "per-slot", "--out", str(out)])
+    assert flag.exit_code != 0 and "No such option '--fairness-variant'" in flag.output

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stacksim as ss
 from stacksim import harness
+
+PINNED_DOWNLINK = Path(__file__).with_name("data") / "downlink_pinned.csv"
 
 
 def tiny_downlink_config(trials=2, seed=11):
@@ -47,6 +51,24 @@ class TestConfigIO:
             ({"pgd": {"nope": 4}}, "unknown pgd fields: nope"),
         ):
             with pytest.raises(ss.ConfigurationError, match=message):
+                harness.config_from_dict({**base, **mutation})
+
+    def test_field_types_checked(self):
+        base = harness.config_to_dict(tiny_downlink_config())
+        # A JSON integer is a number, and null is allowed where the field is optional.
+        stack = {**base["stack"], "beta": 1, "feed_element_area_wl2": None}
+        again = harness.config_from_dict({**base, "eta_feedback": 2, "stack": stack})
+        assert again.eta_feedback == 2 and again.stack.beta == 1
+        for mutation, message in (
+            ({"trial_count": 2.0}, "config field trial_count must be an integer, got float"),
+            ({"eta_feedback": True}, "config field eta_feedback must be a number, got bool"),
+            ({"stack": {**base["stack"], "terminal_kind": 1}}, "stack field terminal_kind must be a string, got int"),
+            ({"stack": {**base["stack"], "centered_alignment": 0}}, "centered_alignment must be a boolean, got int"),
+            ({"scenario": {**base["scenario"], "streams": None}}, "field streams must be an integer, got NoneType"),
+            ({"pgd": {"alpha_min": "0.1"}}, "pgd field alpha_min must be a number, got str"),
+            ({"pgd": []}, "config field pgd must be a JSON object, got list"),
+        ):
+            with pytest.raises(ss.ConfigurationError, match=re.escape(message)):
                 harness.config_from_dict({**base, **mutation})
 
     def test_missing_required_fields(self):
@@ -137,6 +159,21 @@ class TestRunExperiment:
         assert len(failed) == 1
         ok = [r for r in records if r.metric == "ta_sum_rate"]
         assert len(ok) == 3  # 2 points x 2 trials, minus the failed trial
+
+    def test_pinned_downlink_values(self, tmp_path):
+        # Every results.csv column but elapsed_s, recorded before the slot
+        # phases became one array and the baseline one result per interval; a
+        # refactor of the downlink path must reproduce it byte for byte.
+        config = dataclasses.replace(
+            tiny_downlink_config(),
+            sweep=harness.SweepAxes(user_counts=(6, 12), slot_counts=(1, 2, 3)),
+            pgd={"max_iterations": 10},
+        )
+        with pytest.warns(UserWarning, match="training-overhead budget"):  # 3 slots > V/N = 9/4
+            records = harness.run_experiment(config)
+        harness.write_csv(records, tmp_path / "results.csv")
+        rows = [line.rsplit(",", 1)[0] for line in (tmp_path / "results.csv").read_text().splitlines()]
+        assert rows == PINNED_DOWNLINK.read_text().splitlines()
 
     def test_overhead_metrics_match_formulas(self):
         records = harness.run_experiment(tiny_downlink_config(trials=1))

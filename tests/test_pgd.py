@@ -216,6 +216,15 @@ class TestRunPgd:
         config = dataclasses.replace(harness.fig4_config(trials=1), pgd=overrides)
         assert f"pgd: {message}" in harness.validate_config(config)
 
+    @pytest.mark.parametrize("bounds", [{"alpha_min": 5.0}, {"alpha_max": 0.01}])
+    def test_inverted_amplitude_bounds_rejected(self, bounds):
+        # Each bound lies past the stack's other one (-22 and 13 dB). Clipping
+        # to such a box pinned every amplitude at the other bound, outside it.
+        stack = small_stack(seed=1)
+        target = ss.generate_target(stack.input_size, stack.output_size, stack.beta, stack.w1_frobenius, 1)
+        with pytest.raises(ValueError, match="need 0 < alpha_min <= alpha_max"):
+            ss.run_pgd(stack, target, ss.PgdConfig(max_iterations=3, **bounds))
+
     @pytest.mark.parametrize(
         "overrides, trace, steps, frozen",
         [

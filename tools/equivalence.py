@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Run the same stacksim commands on two source trees and compare their outputs exactly.
+
+    python3 tools/equivalence.py PARENT_TREE CHANGE_TREE OUT_DIR
+
+Each tree is a checkout of this repository whose package is imported from
+``<tree>/src``. Every command of ``BATTERY`` runs once per tree, the two at
+the same time, each as a subprocess with ``OPENBLAS_NUM_THREADS=1`` so that
+BLAS threading cannot move a last bit. They write to ``OUT_DIR/parent/<name>``
+and ``OUT_DIR/change/<name>``, and ``compare_outputs.py`` (next to this
+script) compares each pair. ``run`` takes ``DENSE_CELL_CONFIG`` from
+CHANGE_TREE's ``bench/workloads.py`` and ``synth`` the bare-stack config
+``BARE_SYNTH``; both are written to OUT_DIR. The exit status is 0 only when
+every command succeeded and every output record is identical. Uses the
+standard library only.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+COMPARE = Path(__file__).resolve().with_name("compare_outputs.py")
+
+# Q=25, one amplitude-controlled and three phase-controlled layers.
+BARE_SYNTH = {
+    "stack": {"input_shape": [3, 3], "inner_shape": [5, 5], "output_shape": [3, 3], "ac_layers": 1, "pc_layers": 3},
+    "pgd": {"max_iterations": 300},
+    "master_seed": 4,
+}
+
+# name -> CLI arguments; "{dense_cell}" and "{bare_synth}" stand for the config files.
+BATTERY = {
+    "fig3": ["fig3", "--seed", "1", "--trials", "1", "--scale", "0.25"],
+    "fig4": ["fig4", "--trials", "1", "--scale", "0.3"],
+    "fig5": ["fig5", "--seed", "42", "--trials", "2", "--scale", "0.25"],
+    "fig6": ["fig6", "--trials", "1", "--scale", "0.25"],
+    "dense-cell": ["run", "{dense_cell}", "--seed", "0", "--trials", "1", "--scale", "0.5"],
+    "synth": ["synth", "{bare_synth}"],
+}
+
+
+def dense_cell_config(tree: Path) -> dict:
+    spec = importlib.util.spec_from_file_location("workloads", tree / "bench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.DENSE_CELL_CONFIG
+
+
+def start(tree: Path, args: list[str], out: Path, log: Path) -> subprocess.Popen:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(tree / "src")}
+    command = [sys.executable, "-m", "stacksim.cli", *args, "--out", str(out)]
+    with log.open("w") as fh:
+        return subprocess.Popen(command, env=env, cwd=log.parent, stdout=fh, stderr=subprocess.STDOUT)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3 or not all((Path(arg) / "src" / "stacksim").is_dir() for arg in argv[:2]):
+        print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    trees = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1]).resolve()}
+    out_dir = Path(argv[2]).resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    configs = {"dense_cell": dense_cell_config(trees["change"]), "bare_synth": BARE_SYNTH}
+    paths = {}
+    for key, config in configs.items():
+        paths[key] = out_dir / f"{key}.json"
+        paths[key].write_text(json.dumps(config, indent=1) + "\n")
+
+    failures = 0
+    for name, template in BATTERY.items():
+        args = [arg.format(**paths) for arg in template]
+        print(f"== {name}: stacksim {' '.join(args)}", flush=True)
+        runs = {}
+        for side, tree in trees.items():
+            target = out_dir / side / name
+            shutil.rmtree(target, ignore_errors=True)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            log = out_dir / f"{side}-{name}.log"
+            runs[side] = (start(tree, args, target, log), log)
+        for side, (process, log) in runs.items():
+            if process.wait() != 0:
+                print(f"{side} run failed with status {process.returncode}; last output:\n{log.read_text()[-2000:]}")
+                failures += 1
+        if any(process.returncode for process, _ in runs.values()):
+            continue
+        compared = subprocess.run(
+            [sys.executable, str(COMPARE), str(out_dir / "parent" / name), str(out_dir / "change" / name)],
+            capture_output=True,
+            text=True,
+        )
+        print(compared.stdout, end="", flush=True)
+        failures += compared.returncode != 0
+    print(f"{len(BATTERY)} commands, {failures} with a failure or a difference")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
