@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one reader of config objects."""
 
+import json
 from dataclasses import MISSING, fields
 
 
@@ -12,7 +13,8 @@ class ValidationError(ValueError):
 
 
 # JSON value types accepted for each scalar field annotation, and their names;
-# other annotations (shapes, enums, nested sections) are left to their readers.
+# a ``tuple[int, int]`` grid shape must be a list of two integers, and other
+# annotations (enums, nested sections) are left to their readers.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "dict": (dict,)}
 _NAMES = {"int": "an integer", "float": "a number", "str": "a string", "bool": "a boolean", "dict": "a JSON object"}
 
@@ -22,9 +24,9 @@ def read_object(section: str, data, cls) -> dict:
     whose fields are those of the dataclass ``cls``.
 
     Rejects a value that is not an object, fields ``cls`` does not have,
-    missing fields that ``cls`` gives no default, and scalar values whose JSON
-    type does not match the field's annotation (``true`` is not an integer;
-    an integer is a number).
+    missing fields that ``cls`` gives no default, and scalar values and grid
+    shapes whose JSON type does not match the field's annotation (``true`` is
+    not an integer; an integer is a number).
     """
     if not isinstance(data, dict):
         raise ConfigurationError(f"{section} must be a JSON object, got {type(data).__name__}")
@@ -38,9 +40,14 @@ def read_object(section: str, data, cls) -> dict:
     for f in fields(cls):
         value = data.get(f.name)
         kinds = [k.strip() for k in str(getattr(f.type, "__name__", f.type)).split("|")]
-        if f.name not in data or (value is None and "None" in kinds) or kinds[0] not in _JSON_TYPES:
+        if f.name not in data or (value is None and "None" in kinds):
             continue
-        types, expected = _JSON_TYPES[kinds[0]], _NAMES[kinds[0]]
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            raise ConfigurationError(f"{section} field {f.name} must be {expected}, got {type(value).__name__}")
+        if kinds[0] == "tuple[int, int]":
+            if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+                got = json.dumps(value) if isinstance(value, list) else type(value).__name__
+                raise ConfigurationError(f"{section} field {f.name} must be a list of two integers, got {got}")
+        elif kinds[0] in _JSON_TYPES:
+            types, expected = _JSON_TYPES[kinds[0]], _NAMES[kinds[0]]
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ConfigurationError(f"{section} field {f.name} must be {expected}, got {type(value).__name__}")
     return dict(data)

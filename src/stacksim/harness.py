@@ -321,6 +321,11 @@ def synthesize(stack: SimStack, pgd_overrides: dict, master_seed: int, trial: in
 def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None) -> list[ResultRecord]:
     """Run every (sweep point, trial), returning one record per metric.
 
+    Consecutive sweep points with an equal stack description share one
+    built stack, and trials share their point's stack: each trial writes its
+    coefficients and slot phases before use. At most one stack is alive at a
+    time, and it holds one propagation matrix per distinct hop geometry.
+
     A numeric failure inside one trial is recorded as a ``trial_failed``
     metric for that (point, trial) and the run continues. For convergence
     experiments, per-iteration optimizer traces are written to ``trace_dir``
@@ -341,10 +346,13 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
     users_cache: dict[int, Users] = {}
     records: list[ResultRecord] = []
 
+    stack: SimStack | None = None
     for point in points:
         desc = stack_for_point(config.stack, point)
         scenario = scenario_for_point(config.scenario, point)
-        stack = build_stack(desc)
+        if stack is None or stack.description != desc:
+            stack = None  # release the previous stack before building the next
+            stack = build_stack(desc)
         synth_key = _synth_key(desc)
         sweep_items = tuple(point.items())
 
@@ -544,9 +552,10 @@ def fig5_config(
 ) -> ExperimentConfig:
     """Time-averaged sum rate versus user count, against the full-feedback baseline.
 
-    The optimizer is capped at 300 iterations here: the downlink metrics see
-    the synthesized beams only through their randomization, and the extra
-    fit depth does not move them.
+    The optimizer is capped at 300 iterations here, which trades fit depth
+    for run time. The downlink metrics do move with the fit: on a Q=144 stack
+    over 12 trials, the sum rate at 10 users rose 33% from 30 to 300
+    iterations.
     """
     config = ExperimentConfig(
         kind=ExperimentKind.SUMRATE_VS_USERS,

@@ -60,7 +60,13 @@ def rs_kernel(d, params: KernelParams):
         raise ValueError("propagation distance must be positive")
     k0 = params.wavenumber
     amplitude = params.element_area * params.separation / (2.0 * math.pi * d**3)
-    value = amplitude * (1.0 - 1j * k0 * d) * np.exp(1j * k0 * d)
+    # amplitude * (1 - j*k0*d) * exp(j*k0*d) in two complex buffers, keeping the
+    # operation and operand order of that expression so entries match it bit
+    # for bit (complex x*y and y*x can differ in the last bit).
+    phase = np.multiply(1j * k0, d, out=np.empty(d.shape, dtype=complex))
+    value = np.subtract(1.0, phase, out=np.empty(d.shape, dtype=complex))
+    np.multiply(amplitude, value, out=value)
+    value *= np.exp(phase, out=phase)
     return complex(value) if value.ndim == 0 else value
 
 
@@ -89,9 +95,15 @@ def build_propagation_matrix(
     if centered:
         # Same operation order as the pair_distance oracle in tests/conftest.py,
         # so entries match it bit for bit.
-        dx = dx + (src.count_x - dst.count_x) / 2.0
-        dy = dy + (src.count_y - dst.count_y) / 2.0
-    d = np.sqrt((dx * dx + dy * dy) * src.spacing**2 + params.separation**2)
-    matrix = rs_kernel(d, params)
+        dx += (src.count_x - dst.count_x) / 2.0
+        dy += (src.count_y - dst.count_y) / 2.0
+    # sqrt((dx*dx + dy*dy) * spacing**2 + separation**2), computed in dx's
+    # buffer so that no other grid-pair-sized array is alive during the kernel.
+    d = np.multiply(dx, dx, out=dx)
+    d += np.multiply(dy, dy, out=dy)
+    del dy
+    d *= src.spacing**2
+    d += params.separation**2
+    matrix = rs_kernel(np.sqrt(d, out=d), params)
     matrix.flags.writeable = False
     return matrix

@@ -213,9 +213,12 @@ def _layer_kinds(desc: StackDescription) -> tuple[LayerKind, ...]:
 class SimStack:
     """A fully built stack: grids, propagation matrices, and layer coefficients.
 
-    The propagation matrices are fixed by the geometry; layer coefficients are
-    the mutable state. Composition results are cached and invalidated on any
-    coefficient update; composed matrices are handed out read-only.
+    The propagation matrices are fixed by the geometry and read-only; hops of
+    equal geometry share one matrix, so a stack holds at most one Q x Q
+    matrix however many inner layers it has. Layer coefficients and slot
+    phases are the mutable state. Composition results are cached and
+    invalidated on any coefficient update; composed matrices are handed out
+    read-only.
     """
 
     def __init__(
@@ -368,11 +371,14 @@ def build_stack(description: StackDescription) -> SimStack:
     kinds = _layer_kinds(description)
     grids = [inner_grid] * (len(kinds) - 1) + [output_grid]
     feed_matrix = build_propagation_matrix(upa, input_grid, feed_params, centered)
+    # One read-only matrix per distinct (source, destination) grid pair: all
+    # inner-to-inner hops share one, so the stack's size does not grow with depth.
+    hops: dict[tuple[GridSpec, GridSpec], np.ndarray] = {}
     tail = []
-    prev = input_grid
-    for grid in grids:
-        tail.append(build_propagation_matrix(prev, grid, layer_params, centered))
-        prev = grid
+    for pair in zip([input_grid, *grids], grids):
+        if pair not in hops:
+            hops[pair] = build_propagation_matrix(*pair, layer_params, centered)
+        tail.append(hops[pair])
 
     rng = None
     if description.ac_phase_seed is not None:

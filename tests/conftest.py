@@ -190,3 +190,12 @@ def user_sinr(c_row: np.ndarray, n: int, noise_over_energy: float) -> float:
         raise ValueError("noise_over_energy must be positive")
     power = np.abs(np.asarray(c_row)) ** 2
     return float(power[n] / (power.sum() - power[n] + noise_over_energy))
+
+
+def rs_kernel_expression(d, params: ss.KernelParams):
+    """The Rayleigh-Sommerfeld kernel as one numpy expression, the form whose
+    entries ``rs_kernel`` must reproduce bit for bit."""
+    d = np.asarray(d, dtype=float)
+    k0 = params.wavenumber
+    amplitude = params.element_area * params.separation / (2.0 * math.pi * d**3)
+    return amplitude * (1.0 - 1j * k0 * d) * np.exp(1j * k0 * d)

@@ -206,6 +206,20 @@ def small_run_config(**changes):
             {"stack": SMALL_STACK, "pgd": {"max_iterations": "5"}},
             "pgd field max_iterations must be an integer, got str",
         ),
+        # A grid shape is a list of exactly two integers, never truncated.
+        *(
+            (command, config, f"stack field {field} must be a list of two integers, got {got}")
+            for field, shape, got in (
+                ("input_shape", 3, "int"),
+                ("upa_shape", [2, 2, 2], "[2, 2, 2]"),
+                ("inner_shape", [2.7, 2], "[2.7, 2]"),
+                ("output_shape", [True, 3], "[true, 3]"),
+            )
+            for command, config in (
+                ("run", small_run_config(stack={**SMALL_STACK, field: shape})),
+                ("synth", {"stack": {**SMALL_STACK, field: shape}}),
+            )
+        ),
     ],
 )
 def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, config, message):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,32 @@ class TestRunExperiment:
             if r.metric == "objective_db":
                 by_point.setdefault(dict(r.sweep)["users"], []).append(r.value)
         assert by_point[6] == by_point[12]
+
+    def test_stack_built_once_per_description_change(self, monkeypatch):
+        real = harness.build_stack
+        built = []
+
+        def counting(desc):
+            # The previous stack is released before the next one is built.
+            assert all(ref() is None for _, ref in built)
+            stack = real(desc)
+            built.append((desc, weakref.ref(stack)))
+            return stack
+
+        monkeypatch.setattr(harness, "build_stack", counting)
+        harness.run_experiment(tiny_downlink_config())  # users (6, 12), 2 trials
+        assert len(built) == 1
+
+        built.clear()
+        config = dataclasses.replace(
+            tiny_downlink_config(trials=1),
+            sweep=harness.SweepAxes(user_counts=(6, 12), slot_counts=(1, 2)),
+            pgd={"max_iterations": 5},
+        )
+        harness.run_experiment(config)
+        # Points run (6, 1), (6, 2), (12, 1), (12, 2): the slot count, and with
+        # it the description, changes at every point.
+        assert [desc.slot_count for desc, _ in built] == [1, 2, 1, 2]
 
     def test_failed_trial_recorded_and_run_continues(self, monkeypatch):
         config = tiny_downlink_config(trials=2)

@@ -10,7 +10,7 @@ from stacksim import (
     build_propagation_matrix,
     rs_kernel,
 )
-from conftest import pair_distance
+from conftest import pair_distance, rs_kernel_expression
 
 WAVELENGTH = 0.0107  # ~28 GHz
 
@@ -40,6 +40,21 @@ class TestKernel:
         base = KernelParams(wavelength=0.01, element_area=1e-5, separation=0.005)
         doubled = KernelParams(wavelength=0.01, element_area=2e-5, separation=0.005)
         assert rs_kernel(0.0123, doubled) == pytest.approx(2 * rs_kernel(0.0123, base), rel=1e-14)
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_bit_identical_to_one_expression(self, centered):
+        params = half_wave_params()
+        src = GridSpec(7, 5, params.separation)
+        dst = GridSpec(6, 9, params.separation)
+        d = np.array(
+            [[pair_distance(dst, r, src, c, params.separation, centered) for c in range(src.total)]
+             for r in range(dst.total)]
+        )
+        expected = rs_kernel_expression(d, params)
+        np.testing.assert_array_equal(rs_kernel(d, params), expected)
+        np.testing.assert_array_equal(build_propagation_matrix(src, dst, params, centered), expected)
+        assert type(rs_kernel(0.0123, params)) is complex
+        assert rs_kernel(0.0123, params) == complex(rs_kernel_expression(0.0123, params))
 
     def test_non_positive_distance_rejected(self):
         params = half_wave_params()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,47 @@ class TestBuild:
         assert tails[1].shape == (25, 25)
         assert tails[2].shape == (25, 25)
         assert tails[-1].shape == (16, 25)
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_inner_hops_share_one_read_only_matrix(self, centered):
+        desc = ss.StackDescription(
+            input_shape=(3, 3),
+            inner_shape=(5, 4),
+            output_shape=(2, 3),
+            ac_layers=2,
+            pc_layers=3,
+            upa_shape=(1, 1),
+            centered_alignment=centered,
+        )
+        stack = ss.build_stack(desc)
+        tails = stack.tail_matrices()
+        inner_hops = tails[1:-1]
+        assert len(inner_hops) == 3  # four inner layers
+        assert all(m is inner_hops[0] for m in inner_hops)
+        assert not any(m.flags.writeable for m in tails)
+        lam = desc.wavelength
+        params = ss.KernelParams(lam, (0.5 * lam) ** 2, 0.5 * lam)
+        grids = [stack.input_grid] + [stack.inner_grid] * 4 + [stack.output_grid]
+        for matrix, src, dst in zip(tails, grids[:-1], grids[1:], strict=True):
+            np.testing.assert_array_equal(matrix, ss.build_propagation_matrix(src, dst, params, centered))
+
+    def test_memory_does_not_grow_with_depth(self):
+        # Q=144 with 2 AC + 6 PC layers. In units of one Q x Q complex matrix:
+        # the stack holds one inner hop plus the small boundary hops, and the
+        # build peaks at a few Q x Q buffers, not at one per layer.
+        desc = ss.StackDescription(
+            input_shape=(6, 6), inner_shape=(12, 12), output_shape=(3, 3), ac_layers=2, pc_layers=6
+        )
+        unit = 144**2 * 16
+        tracemalloc.start()
+        try:
+            stack = ss.build_stack(desc)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stack.layer_count == 9
+        assert held / unit <= 2.0
+        assert peak / unit <= 5.0
 
     def test_invalid_descriptions_rejected(self):
         with pytest.raises(ss.ConfigurationError):
