@@ -321,10 +321,11 @@ def synthesize(stack: SimStack, pgd_overrides: dict, master_seed: int, trial: in
 def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None) -> list[ResultRecord]:
     """Run every (sweep point, trial), returning one record per metric.
 
-    Consecutive sweep points with an equal stack description share one
-    built stack, and trials share their point's stack: each trial writes its
-    coefficients and slot phases before use. At most one stack is alive at a
-    time, and it holds one propagation matrix per distinct hop geometry.
+    Consecutive sweep points whose stack descriptions differ at most in the
+    slot count share one built stack, and trials share their point's stack:
+    each trial writes its coefficients and slot phases before use. At most
+    one stack is alive at a time, and it holds one propagation matrix per
+    distinct hop geometry.
 
     A numeric failure inside one trial is recorded as a ``trial_failed``
     metric for that (point, trial) and the run continues. For convergence
@@ -343,17 +344,18 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
     max_users = max(user_axis) if user_axis else config.scenario.user_count
 
     synth_cache: dict[tuple[str, int], PgdState] = {}
-    users_cache: dict[int, Users] = {}
+    users_cache: dict[tuple[int, int], Users] = {}
     records: list[ResultRecord] = []
 
     stack: SimStack | None = None
     for point in points:
         desc = stack_for_point(config.stack, point)
         scenario = scenario_for_point(config.scenario, point)
-        if stack is None or stack.description != desc:
+        synth_key = _synth_key(desc)
+        if stack is None or _synth_key(stack.description) != synth_key:
             stack = None  # release the previous stack before building the next
             stack = build_stack(desc)
-        synth_key = _synth_key(desc)
+        stack.description = desc  # only the slot count can differ; build_stack does not read it
         sweep_items = tuple(point.items())
 
         for trial in range(config.trial_count):
@@ -402,18 +404,20 @@ def _downlink_metrics(
     scenario: DownlinkScenario,
     trial: int,
     synth_key: str,
-    users_cache: dict[int, Users],
+    users_cache: dict[tuple[int, int], Users],
     max_users: int,
 ) -> dict[str, float]:
-    if trial not in users_cache:
+    # The fading draw depends on the output size, so the pool is keyed by it too.
+    pool_key = (trial, stack.output_size)
+    if pool_key not in users_cache:
         pool_scenario = dataclasses.replace(scenario, user_count=max_users)
-        users_cache[trial] = drop_users(
+        users_cache[pool_key] = drop_users(
             pool_scenario,
             stream_seed(config.master_seed, "user-drop", trial),
             fading_seed=stream_seed(config.master_seed, "channels", trial, stack.output_size),
             output_size=stack.output_size,
         )
-    users = users_cache[trial][: scenario.user_count]
+    users = users_cache[pool_key][: scenario.user_count]
 
     slots = scenario.slot_count
     seed = stream_seed(config.master_seed, "st-phases", trial, slots, synth_key)

@@ -9,6 +9,10 @@ Rayleigh-Sommerfeld diffraction integral for an element of effective area
 
 with ``k0 = 2*pi/lambda0`` the free-space wavenumber and ``d`` the distance
 between the two elements.
+
+A propagation matrix is allocated once and filled in blocks of at most
+``_BLOCK`` destination rows, so its build allocates no other array of the
+matrix's size.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ from .geometry import GridSpec
 __all__ = ["SPEED_OF_LIGHT", "KernelParams", "rs_kernel", "build_propagation_matrix"]
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
+
+# Rows or columns of a Q-sized array computed at once: destination rows of a
+# propagation matrix here, and the blocks of the Q x Q products in pgd.py.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -90,20 +98,21 @@ def build_propagation_matrix(
         )
     sx, sy = src.axis_coordinates()
     dx_, dy_ = dst.axis_coordinates()
-    dx = dx_[:, None] - sx[None, :]
-    dy = dy_[:, None] - sy[None, :]
-    if centered:
-        # Same operation order as the pair_distance oracle in tests/conftest.py,
-        # so entries match it bit for bit.
-        dx += (src.count_x - dst.count_x) / 2.0
-        dy += (src.count_y - dst.count_y) / 2.0
-    # sqrt((dx*dx + dy*dy) * spacing**2 + separation**2), computed in dx's
-    # buffer so that no other grid-pair-sized array is alive during the kernel.
-    d = np.multiply(dx, dx, out=dx)
-    d += np.multiply(dy, dy, out=dy)
-    del dy
-    d *= src.spacing**2
-    d += params.separation**2
-    matrix = rs_kernel(np.sqrt(d, out=d), params)
+    matrix = np.empty((dst.total, src.total), dtype=complex)
+    for start in range(0, dst.total, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        dx = dx_[rows, None] - sx[None, :]
+        dy = dy_[rows, None] - sy[None, :]
+        if centered:
+            # Same operation order as the pair_distance oracle in tests/conftest.py,
+            # so entries match it bit for bit.
+            dx += (src.count_x - dst.count_x) / 2.0
+            dy += (src.count_y - dst.count_y) / 2.0
+        # sqrt((dx*dx + dy*dy) * spacing**2 + separation**2), computed in dx's buffer.
+        d = np.multiply(dx, dx, out=dx)
+        d += np.multiply(dy, dy, out=dy)
+        d *= src.spacing**2
+        d += params.separation**2
+        matrix[rows] = rs_kernel(np.sqrt(d, out=d), params)
     matrix.flags.writeable = False
     return matrix

@@ -199,3 +199,12 @@ def rs_kernel_expression(d, params: ss.KernelParams):
     k0 = params.wavenumber
     amplitude = params.element_area * params.separation / (2.0 * math.pi * d**3)
     return amplitude * (1.0 - 1j * k0 * d) * np.exp(1j * k0 * d)
+
+
+def quadratic_parts(e_factor, b_factor, target_entries):
+    """Hadamard form ``A = (conj(B) @ B.T) * (E^H @ E)`` and ``v`` of one layer,
+    each as one numpy expression: the unblocked form whose products
+    ``pgd._layer_gradient`` must reproduce bit for bit."""
+    a_matrix = (b_factor.conj() @ b_factor.T) * (e_factor.conj().T @ e_factor)
+    v_vector = ((e_factor.conj().T @ target_entries) * b_factor.conj()).sum(axis=1)
+    return a_matrix, v_vector

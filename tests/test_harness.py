@@ -164,10 +164,39 @@ class TestRunExperiment:
             sweep=harness.SweepAxes(user_counts=(6, 12), slot_counts=(1, 2)),
             pgd={"max_iterations": 5},
         )
+        slot_counts = []
+        real_metrics = harness._downlink_metrics
+
+        def recording(config, stack, *args):
+            slot_counts.append(stack.slot_count)
+            return real_metrics(config, stack, *args)
+
+        monkeypatch.setattr(harness, "_downlink_metrics", recording)
         harness.run_experiment(config)
-        # Points run (6, 1), (6, 2), (12, 1), (12, 2): the slot count, and with
-        # it the description, changes at every point.
-        assert [desc.slot_count for desc, _ in built] == [1, 2, 1, 2]
+        # Points run (6, 1), (6, 2), (12, 1), (12, 2): only the slot count
+        # changes, so one stack serves them all and follows the slot count.
+        assert len(built) == 1
+        assert slot_counts == [1, 2, 1, 2]
+
+    def test_user_pool_keyed_by_output_size(self):
+        config = tiny_downlink_config(trials=1)
+        scenario = config.scenario
+        users_cache = {}
+        drawn = {}
+        for output_shape in ((3, 3), (2, 2)):
+            stack = ss.build_stack(dataclasses.replace(config.stack, output_shape=output_shape))
+            key = harness._synth_key(stack.description)
+            harness._downlink_metrics(config, stack, scenario, 0, key, users_cache, 12)
+            drawn[stack.output_size] = ss.drop_users(
+                dataclasses.replace(scenario, user_count=12),
+                ss.stream_seed(config.master_seed, "user-drop", 0),
+                fading_seed=ss.stream_seed(config.master_seed, "channels", 0, stack.output_size),
+                output_size=stack.output_size,
+            )
+        assert set(users_cache) == {(0, 9), (0, 4)}
+        for (_, size), users in users_cache.items():
+            assert users.fading.shape == (12, size)
+            np.testing.assert_array_equal(users.fading, drawn[size].fading)
 
     def test_failed_trial_recorded_and_run_continues(self, monkeypatch):
         config = tiny_downlink_config(trials=2)

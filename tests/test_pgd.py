@@ -1,19 +1,25 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import stacksim as ss
-from stacksim import harness
-from stacksim.pgd import _quadratic_parts
-from conftest import finite_difference_gradient, objective_by_entry_sum, small_stack
+from stacksim import harness, pgd
+from conftest import finite_difference_gradient, objective_by_entry_sum, quadratic_parts, small_stack
 
 
 def reachable_target(stack):
     """Target produced by a forward pass, so zero residual is feasible."""
     entries = ss.compose_space_block(stack).copy()
     return ss.TargetMatrix(entries=entries, column_norm_sq=float(np.sum(np.abs(entries[:, 0]) ** 2)))
+
+
+def complex_normal(seed):
+    """Draws of complex Gaussian arrays of a given shape from one seeded stream."""
+    rng = np.random.default_rng(seed)
+    return lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestObjective:
@@ -110,7 +116,7 @@ class TestGradient:
         target = ss.generate_target(stack.input_size, stack.output_size, stack.beta, stack.w1_frobenius, 31)
         for layer in stack.space_layers:
             e_factor, b_factor = ss.layer_factors(stack, layer)
-            a_matrix, v_vector = _quadratic_parts(e_factor, b_factor, target.entries)
+            a_matrix, v_vector = quadratic_parts(e_factor, b_factor, target.entries)
             size = b_factor.shape[0]
             a_expected = np.zeros((size, size), dtype=complex)
             v_expected = np.zeros(size, dtype=complex)
@@ -121,6 +127,33 @@ class TestGradient:
                 v_expected += d.conj() @ e_factor.conj().T @ target.entries[:, z]
             np.testing.assert_allclose(a_matrix, a_expected, rtol=1e-12)
             np.testing.assert_allclose(v_vector, v_expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("size", [100, 144, 576])
+    def test_blocked_gradient_bit_identical_to_one_expression(self, size):
+        # 100 and 144 leave a partial last block of rows.
+        cplx = complex_normal(size)
+        e_factor, b_factor, gamma, target = cplx(9, size), cplx(size, 100), cplx(size), cplx(9, 100)
+        amplitudes = np.abs(cplx(size)) + 0.05
+        a_matrix, v_vector = quadratic_parts(e_factor, b_factor, target)
+        inner = gamma.conj() * (a_matrix @ gamma - v_vector)
+        np.testing.assert_array_equal(pgd._layer_gradient(e_factor, b_factor, gamma, target), 2.0 * inner.imag)
+        np.testing.assert_array_equal(
+            pgd._layer_gradient(e_factor, b_factor, gamma, target, amplitudes, 0.1),
+            2.0 * inner.real / np.maximum(amplitudes, 0.1),
+        )
+
+    @pytest.mark.parametrize("size", [100, 144, 576])
+    def test_blocked_downstream_factors_bit_identical_to_one_expression(self, size):
+        cplx = complex_normal(size + 1)
+        mats = [cplx(size, 100), cplx(size, size), cplx(size, size), cplx(9, size)]
+        gammas = [cplx(m.shape[0]) for m in mats]
+        expected = [np.eye(9, dtype=complex)]
+        for pos in range(len(mats) - 1, 0, -1):
+            expected.insert(0, expected[0] @ (gammas[pos][:, None] * mats[pos]))
+        factors = pgd._downstream_factors(mats, gammas, 9)
+        assert len(factors) == len(expected)
+        for got, want in zip(factors, expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestProjection:
@@ -155,6 +188,24 @@ class TestRunPgd:
             target = ss.generate_target(stack.input_size, stack.output_size, stack.beta, stack.w1_frobenius, seed)
             state = ss.run_pgd(stack, target, ss.PgdConfig(max_iterations=60, seed=seed))
             assert np.all(np.diff(state.objective_trace) <= 0)
+
+    def test_synthesis_allocates_no_q_by_q_temporary_at_fig5_size(self):
+        # Q=576, Z=100, V=9 with 2 AC + 6 PC layers. The stack's matrices and
+        # the per-layer downstream factors (V x Q each) are held; the Hadamard
+        # form and the backward sweep are streamed in blocks, so the run peaks
+        # below one Q x Q complex matrix above what was held before it.
+        stack = ss.build_stack(ss.fig5_config().stack)
+        target = ss.generate_target(stack.input_size, stack.output_size, stack.beta, stack.w1_frobenius, 3)
+        assert (stack.inner_size, stack.input_size, stack.output_size) == (576, 100, 9)
+        unit = 576**2 * 16
+        tracemalloc.start()
+        try:
+            state = ss.run_pgd(stack, target, ss.PgdConfig(max_iterations=3, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.iteration == 3
+        assert peak / unit <= 1.0
 
     def test_amplitudes_feasible_every_iteration(self):
         stack = small_stack(input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=2, seed=1)

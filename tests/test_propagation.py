@@ -44,15 +44,18 @@ class TestKernel:
     @pytest.mark.parametrize("centered", [False, True])
     def test_bit_identical_to_one_expression(self, centered):
         params = half_wave_params()
-        src = GridSpec(7, 5, params.separation)
-        dst = GridSpec(6, 9, params.separation)
-        d = np.array(
-            [[pair_distance(dst, r, src, c, params.separation, centered) for c in range(src.total)]
-             for r in range(dst.total)]
-        )
-        expected = rs_kernel_expression(d, params)
-        np.testing.assert_array_equal(rs_kernel(d, params), expected)
-        np.testing.assert_array_equal(build_propagation_matrix(src, dst, params, centered), expected)
+        # The matrix is built in blocks of 64 destination rows: one block,
+        # partial last blocks (100 and 144 rows), and nine full blocks.
+        for dst_shape, src_shape in ((6, 9), (7, 5)), ((10, 10), (24, 24)), ((12, 12), (5, 13)), ((24, 24), (24, 24)):
+            src = GridSpec(*src_shape, params.separation)
+            dst = GridSpec(*dst_shape, params.separation)
+            d = np.array(
+                [[pair_distance(dst, r, src, c, params.separation, centered) for c in range(src.total)]
+                 for r in range(dst.total)]
+            )
+            expected = rs_kernel_expression(d, params)
+            np.testing.assert_array_equal(rs_kernel(d, params), expected)
+            np.testing.assert_array_equal(build_propagation_matrix(src, dst, params, centered), expected)
         assert type(rs_kernel(0.0123, params)) is complex
         assert rs_kernel(0.0123, params) == complex(rs_kernel_expression(0.0123, params))
 

@@ -76,6 +76,21 @@ class TestBuild:
         assert held / unit <= 2.0
         assert peak / unit <= 5.0
 
+    def test_build_allocates_no_second_matrix_at_fig5_size(self):
+        # Q=576: the build fills each propagation matrix in row blocks, so the
+        # peak is the one inner hop plus the small boundary hops and blocks.
+        desc = ss.fig5_config().stack
+        assert desc.inner_shape == (24, 24)
+        unit = 576**2 * 16
+        tracemalloc.start()
+        try:
+            stack = ss.build_stack(desc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.inner_size == 576
+        assert peak / unit <= 2.0
+
     def test_invalid_descriptions_rejected(self):
         with pytest.raises(ss.ConfigurationError):
             ss.build_stack(
