@@ -127,7 +127,7 @@ def synth(config_file, seed, out) -> None:
         else:
             bare = _BareSynth(**read_object("synth config", data, _BareSynth))
             stack_desc = StackDescription.from_dict(bare.stack)
-            pgd_overrides = harness.check_pgd_block(bare.pgd, stack_desc)
+            pgd_overrides = harness.check_pgd_block(bare.pgd)
             master = int(bare.master_seed)
         if seed is not None:
             master = seed

@@ -4,7 +4,9 @@ Minimizes the squared Frobenius distance between the composed space-block
 response and a target matrix, sweeping the layers in cascade order each
 iteration. Phase-controlled layers take plain gradient steps on their phases;
 amplitude-controlled layers take gradient steps on their amplitudes followed
-by projection onto the box [alpha_min, alpha_max]. Both kinds share one
+by projection onto the stack's amplitude range ``stack.alpha_bounds`` (its
+``alpha_min_db``/``alpha_max_db``), the range the write-back accepts; the
+amplitude gradient is floored at that range's minimum. Both kinds share one
 backtracking line search under an Armijo test, ``f <= f0 - c*step*|g|^2`` for
 phases and ``f <= f0 + c*g.(alpha_new - alpha)`` for amplitudes, so the trace
 is non-increasing. An iteration's objective is its last layer visit's value;
@@ -20,11 +22,13 @@ gradient follows from the quadratic form in ``gamma``:
     d(phase) f = 2 * Im{ conj(gamma) * (A @ gamma - v) }
     d(amp)   f = 2 * Re{ conj(gamma) * (A @ gamma - v) } / amp
 
-``A`` is never formed whole: its rows are streamed in blocks of at most
-``_BLOCK``, each reduced against ``gamma`` at once, and the backward sweep
-builds each downstream factor in column blocks, so no layer visit allocates
-a Q x Q temporary. The results match the unblocked forms bit for bit on one
-BLAS thread. On two OpenBLAS threads the downstream factors do so at
+``A`` is never formed whole: its rows, with the matching entries of ``v``,
+are streamed in blocks of at most ``_BLOCK``, each reduced at once, and the
+backward sweep builds each downstream factor in column blocks, so no layer
+visit allocates a Q x Q temporary, nor a Q x Z one for ``v``. The results
+match the unblocked forms bit for bit on one BLAS thread, unless Q is 1 more
+than a multiple of ``_BLOCK``: BLAS takes a last block of one row or column
+down another path. On two OpenBLAS threads the downstream factors match at
 Q = 100, 144 and 576, the sizes the tests check, but not at every Q.
 """
 
@@ -61,8 +65,8 @@ logger = logging.getLogger(__name__)
 class PgdConfig:
     """Optimizer settings.
 
-    ``alpha_min``/``alpha_max`` are linear-scale bounds for
-    amplitude-controlled layers; ``None`` inherits the stack's bounds. Each
+    The config sets no amplitude range: amplitudes are projected onto the
+    stack's (``alpha_bounds``, from its ``alpha_min_db``/``alpha_max_db``). Each
     layer's line search is warm-started at ``step_growth`` times its last
     accepted step (the first search starts at ``initial_step``), so step
     sizes can grow across iterations instead of being capped at
@@ -75,8 +79,6 @@ class PgdConfig:
     armijo_constant: float = 1e-4
     initial_step: float = 1.0
     step_growth: float = 4.0
-    alpha_min: float | None = None
-    alpha_max: float | None = None
     seed: int = 0
     max_backtracks: int = 50
 
@@ -93,22 +95,10 @@ class PgdConfig:
             raise ValueError("max_backtracks must be non-negative")
         if not 0.0 < self.armijo_constant < 1.0:
             raise ValueError("armijo_constant must lie in (0, 1)")
-        if self.alpha_min is not None and self.alpha_max is not None:
-            _checked_bounds(self.alpha_min, self.alpha_max)
 
     def bounds_for(self, stack: SimStack | StackDescription) -> tuple[float, float]:
-        """Amplitude bounds on ``stack``: the config's where set, else the stack's."""
-        amin, amax = stack.alpha_bounds
-        return _checked_bounds(
-            self.alpha_min if self.alpha_min is not None else amin,
-            self.alpha_max if self.alpha_max is not None else amax,
-        )
-
-
-def _checked_bounds(amin: float, amax: float) -> tuple[float, float]:
-    if not 0.0 < amin <= amax:
-        raise ValueError(f"need 0 < alpha_min <= alpha_max, got ({amin:g}, {amax:g})")
-    return amin, amax
+        """Amplitude range :func:`run_pgd` projects onto: the stack's."""
+        return stack.alpha_bounds
 
 
 @dataclass
@@ -189,25 +179,19 @@ def _downstream_factors(mats, gammas, output_size) -> list[np.ndarray]:
     return factors
 
 
-def _upstream_factor(mats, gammas, pos) -> np.ndarray:
-    b_factor = mats[0]
-    for k in range(1, pos + 1):
-        b_factor = mats[k] @ (gammas[k - 1][:, None] * b_factor)
-    return b_factor
-
-
 def _layer_gradient(e_factor, b_factor, gamma, target_entries, amplitudes=None, floor=None) -> np.ndarray:
     """Phase gradient of one layer, or amplitude gradient if ``amplitudes`` (floored at ``floor``) is given."""
     ec = e_factor.conj()
-    bc = b_factor.conj()
-    v_vector = ((ec.T @ target_entries) * bc).sum(axis=1)
-    # A @ gamma with A = (conj(B) @ B.T) * (E^H @ E), one row block of A at a
-    # time, keeping that expression's operand order (complex x*y and y*x can
-    # differ in the last bit).
+    # v and A @ gamma with A = (conj(B) @ B.T) * (E^H @ E), one row block at a
+    # time, keeping the whole expressions' operand order (complex x*y and y*x
+    # can differ in the last bit).
+    v_vector = np.empty(b_factor.shape[0], dtype=complex)
     a_gamma = np.empty_like(v_vector)
-    for start in range(0, bc.shape[0], _BLOCK):
+    for start in range(0, b_factor.shape[0], _BLOCK):
         rows = slice(start, start + _BLOCK)
-        part = bc[rows] @ b_factor.T
+        bc_rows = b_factor[rows].conj()
+        v_vector[rows] = ((ec[:, rows].T @ target_entries) * bc_rows).sum(axis=1)
+        part = bc_rows @ b_factor.T
         part *= ec[:, rows].T @ e_factor
         a_gamma[rows] = part @ gamma
     inner = gamma.conj() * (a_gamma - v_vector)
@@ -231,7 +215,7 @@ def layer_factors(stack: SimStack, layer: int) -> tuple[np.ndarray, np.ndarray]:
     mats = stack.tail_matrices()
     gammas = stack.gammas()
     e_factor = _downstream_factors(mats, gammas, stack.output_size)[pos]
-    b_factor = _upstream_factor(mats, gammas, pos)
+    b_factor = mats[pos] @ compose(mats[:pos], gammas[:pos]) if pos else mats[0]
     return e_factor, b_factor
 
 
@@ -249,8 +233,10 @@ def gradient(stack: SimStack, target: TargetMatrix, layer: int) -> np.ndarray:
 
 
 def project_amplitude(alpha: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-    """Element-wise clamp onto [alpha_min, alpha_max]."""
-    amin, amax = _checked_bounds(*bounds)
+    """Element-wise clamp onto ``bounds = (alpha_min, alpha_max)``."""
+    amin, amax = bounds
+    if not 0.0 < amin <= amax:
+        raise ValueError(f"need 0 < alpha_min <= alpha_max, got ({amin:g}, {amax:g})")
     return np.clip(np.asarray(alpha, dtype=float), amin, amax)
 
 
@@ -274,7 +260,7 @@ def run_pgd(
     """
     config = config or PgdConfig()
     _check_dimensions(stack, target)
-    bounds = config.bounds_for(stack)
+    bounds = stack.alpha_bounds
     rng = np.random.default_rng(config.seed)
 
     mats = stack.tail_matrices()

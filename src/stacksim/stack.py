@@ -224,7 +224,6 @@ class SimStack:
     def __init__(
         self,
         description: StackDescription,
-        upa_grid: GridSpec,
         input_grid: GridSpec,
         inner_grid: GridSpec,
         output_grid: GridSpec,
@@ -233,7 +232,6 @@ class SimStack:
         coefficients: list[LayerCoefficients],
     ):
         self.description = description
-        self.upa_grid = upa_grid
         self.input_grid = input_grid
         self.inner_grid = inner_grid
         self.output_grid = output_grid
@@ -391,7 +389,7 @@ def build_stack(description: StackDescription) -> SimStack:
             coefficients.append(LayerCoefficients(np.ones(size), phases, kind))
         else:
             coefficients.append(LayerCoefficients(np.full(size, description.alpha_pc), np.zeros(size), kind))
-    return SimStack(description, upa, input_grid, inner_grid, output_grid, feed_matrix, tail, coefficients)
+    return SimStack(description, input_grid, inner_grid, output_grid, feed_matrix, tail, coefficients)
 
 
 def compose(matrices: list[np.ndarray], gammas: list[np.ndarray]) -> np.ndarray:

@@ -66,7 +66,7 @@ class TestConfigIO:
             ({"stack": {**base["stack"], "terminal_kind": 1}}, "stack field terminal_kind must be a string, got int"),
             ({"stack": {**base["stack"], "centered_alignment": 0}}, "centered_alignment must be a boolean, got int"),
             ({"scenario": {**base["scenario"], "streams": None}}, "field streams must be an integer, got NoneType"),
-            ({"pgd": {"alpha_min": "0.1"}}, "pgd field alpha_min must be a number, got str"),
+            ({"pgd": {"armijo_constant": "0.1"}}, "pgd field armijo_constant must be a number, got str"),
             ({"pgd": []}, "config field pgd must be a JSON object, got list"),
         ):
             with pytest.raises(ss.ConfigurationError, match=re.escape(message)):

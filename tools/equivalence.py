@@ -8,11 +8,12 @@ Each tree is a checkout of this repository whose package is imported from
 the same time, each as a subprocess with ``OPENBLAS_NUM_THREADS=1`` so that
 BLAS threading cannot move a last bit. They write to ``OUT_DIR/parent/<name>``
 and ``OUT_DIR/change/<name>``, and ``compare_outputs.py`` (next to this
-script) compares each pair. ``run`` takes ``DENSE_CELL_CONFIG`` from
-CHANGE_TREE's ``bench/workloads.py`` and ``synth`` the bare-stack config
-``BARE_SYNTH``; both are written to OUT_DIR. The exit status is 0 only when
-every command succeeded and every output record is identical. Uses the
-standard library only.
+script) compares each pair. The seven commands are the four presets, ``run``
+on ``DENSE_CELL_CONFIG`` from CHANGE_TREE's ``bench/workloads.py``, and
+``synth`` on the bare-stack configs ``BARE_SYNTH`` (the default amplitude
+range) and ``BARE_SYNTH_RANGE`` (a narrow one); the configs are written to
+OUT_DIR. The exit status is 0 only when every command succeeded and every
+output record is identical. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,25 @@ BARE_SYNTH = {
     "master_seed": 4,
 }
 
-# name -> CLI arguments; "{dense_cell}" and "{bare_synth}" stand for the config files.
+# Q=36, two amplitude-controlled layers (one of them the output layer) held
+# to a -6..6 dB range instead of the default -22..13 dB.
+BARE_SYNTH_RANGE = {
+    "stack": {
+        "input_shape": [2, 2],
+        "inner_shape": [6, 6],
+        "output_shape": [3, 3],
+        "ac_layers": 2,
+        "pc_layers": 2,
+        "terminal_kind": "ac",
+        "alpha_min_db": -6.0,
+        "alpha_max_db": 6.0,
+    },
+    "pgd": {"max_iterations": 200},
+    "master_seed": 9,
+}
+
+# name -> CLI arguments; "{dense_cell}", "{bare_synth}" and "{bare_synth_range}"
+# stand for the config files.
 BATTERY = {
     "fig3": ["fig3", "--seed", "1", "--trials", "1", "--scale", "0.25"],
     "fig4": ["fig4", "--trials", "1", "--scale", "0.3"],
@@ -42,6 +61,7 @@ BATTERY = {
     "fig6": ["fig6", "--trials", "1", "--scale", "0.25"],
     "dense-cell": ["run", "{dense_cell}", "--seed", "0", "--trials", "1", "--scale", "0.5"],
     "synth": ["synth", "{bare_synth}"],
+    "synth-range": ["synth", "{bare_synth_range}"],
 }
 
 
@@ -66,7 +86,11 @@ def main(argv: list[str]) -> int:
     trees = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1]).resolve()}
     out_dir = Path(argv[2]).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
-    configs = {"dense_cell": dense_cell_config(trees["change"]), "bare_synth": BARE_SYNTH}
+    configs = {
+        "dense_cell": dense_cell_config(trees["change"]),
+        "bare_synth": BARE_SYNTH,
+        "bare_synth_range": BARE_SYNTH_RANGE,
+    }
     paths = {}
     for key, config in configs.items():
         paths[key] = out_dir / f"{key}.json"
