@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["GridSpec"]
 
 
@@ -34,8 +32,3 @@ class GridSpec:
     def total(self) -> int:
         """Number of elements, ``count_x * count_y``."""
         return self.count_x * self.count_y
-
-    def axis_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-element (x, y) coordinates in index units, as flat float arrays."""
-        idx = np.arange(self.total)
-        return (idx // self.count_y).astype(float), (idx % self.count_y).astype(float)

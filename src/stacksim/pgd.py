@@ -23,13 +23,13 @@ gradient follows from the quadratic form in ``gamma``:
     d(amp)   f = 2 * Re{ conj(gamma) * (A @ gamma - v) } / amp
 
 ``A`` is never formed whole: its rows, with the matching entries of ``v``,
-are streamed in blocks of at most ``_BLOCK``, each reduced at once, and the
-backward sweep builds each downstream factor in column blocks, so no layer
-visit allocates a Q x Q temporary, nor a Q x Z one for ``v``. The results
-match the unblocked forms bit for bit on one BLAS thread, unless Q is 1 more
-than a multiple of ``_BLOCK``: BLAS takes a last block of one row or column
-down another path. On two OpenBLAS threads the downstream factors match at
-Q = 100, 144 and 576, the sizes the tests check, but not at every Q.
+are streamed in blocks of ``_BLOCK``, each reduced at once, and the backward
+sweep builds each downstream factor in column blocks, so no layer visit
+allocates a Q x Q temporary, nor a Q x Z one for ``v``. The results match
+the unblocked forms bit for bit on one BLAS thread. On two OpenBLAS threads
+the gradient matches at every Q checked, but the downstream factors do not
+(they differ at Q = 130, 131, 132, 150 and 196, and match at the tested
+sizes 65, 100, 144, 193 and 576).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .propagation import _BLOCK
 from .stack import SimStack, StackDescription, compose, compose_space_block
 from .target import TargetMatrix
 
@@ -59,6 +58,16 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Rows or columns of a Q-sized array computed at once in the Q x Q products.
+_BLOCK = 64
+
+
+def _blocks(size: int) -> list[slice]:
+    """Slices covering ``range(size)`` in blocks of ``_BLOCK``; a last block of
+    one row or column joins the one before it, as BLAS computes it by another path."""
+    starts = range(0, max(size - 1, 1), _BLOCK)
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], size])]
 
 
 @dataclass
@@ -172,8 +181,7 @@ def _downstream_factors(mats, gammas, output_size) -> list[np.ndarray]:
         # acc @ (gamma[:, None] * W), one column block of W at a time.
         gamma, mat = gammas[pos + 1], mats[pos + 1]
         nxt = np.empty((acc.shape[0], mat.shape[1]), dtype=complex)
-        for start in range(0, mat.shape[1], _BLOCK):
-            cols = slice(start, start + _BLOCK)
+        for cols in _blocks(mat.shape[1]):
             nxt[:, cols] = acc @ (gamma[:, None] * mat[:, cols])
         acc = factors[pos] = nxt
     return factors
@@ -187,8 +195,7 @@ def _layer_gradient(e_factor, b_factor, gamma, target_entries, amplitudes=None, 
     # can differ in the last bit).
     v_vector = np.empty(b_factor.shape[0], dtype=complex)
     a_gamma = np.empty_like(v_vector)
-    for start in range(0, b_factor.shape[0], _BLOCK):
-        rows = slice(start, start + _BLOCK)
+    for rows in _blocks(b_factor.shape[0]):
         bc_rows = b_factor[rows].conj()
         v_vector[rows] = ((ec[:, rows].T @ target_entries) * bc_rows).sum(axis=1)
         part = bc_rows @ b_factor.T

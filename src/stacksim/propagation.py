@@ -10,9 +10,10 @@ Rayleigh-Sommerfeld diffraction integral for an element of effective area
 with ``k0 = 2*pi/lambda0`` the free-space wavenumber and ``d`` the distance
 between the two elements.
 
-A propagation matrix is allocated once and filled in blocks of at most
-``_BLOCK`` destination rows, so its build allocates no other array of the
-matrix's size.
+Both grids are uniform with one spacing, so ``d`` depends only on the in-plane
+offset between two elements. A propagation matrix evaluates the kernel once
+per distinct offset and gathers its entries from that table, so its build
+allocates no other array of the matrix's size.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ from .geometry import GridSpec
 __all__ = ["SPEED_OF_LIGHT", "KernelParams", "rs_kernel", "build_propagation_matrix"]
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
-
-# Rows or columns of a Q-sized array computed at once: destination rows of a
-# propagation matrix here, and the blocks of the Q x Q products in pgd.py.
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -68,13 +65,7 @@ def rs_kernel(d, params: KernelParams):
         raise ValueError("propagation distance must be positive")
     k0 = params.wavenumber
     amplitude = params.element_area * params.separation / (2.0 * math.pi * d**3)
-    # amplitude * (1 - j*k0*d) * exp(j*k0*d) in two complex buffers, keeping the
-    # operation and operand order of that expression so entries match it bit
-    # for bit (complex x*y and y*x can differ in the last bit).
-    phase = np.multiply(1j * k0, d, out=np.empty(d.shape, dtype=complex))
-    value = np.subtract(1.0, phase, out=np.empty(d.shape, dtype=complex))
-    np.multiply(amplitude, value, out=value)
-    value *= np.exp(phase, out=phase)
+    value = amplitude * (1.0 - 1j * k0 * d) * np.exp(1j * k0 * d)
     return complex(value) if value.ndim == 0 else value
 
 
@@ -96,23 +87,20 @@ def build_propagation_matrix(
         raise ConfigurationError(
             f"source and destination grids must share a spacing, got {src.spacing} and {dst.spacing}"
         )
-    sx, sy = src.axis_coordinates()
-    dx_, dy_ = dst.axis_coordinates()
-    matrix = np.empty((dst.total, src.total), dtype=complex)
-    for start in range(0, dst.total, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        dx = dx_[rows, None] - sx[None, :]
-        dy = dy_[rows, None] - sy[None, :]
-        if centered:
-            # Same operation order as the pair_distance oracle in tests/conftest.py,
-            # so entries match it bit for bit.
-            dx += (src.count_x - dst.count_x) / 2.0
-            dy += (src.count_y - dst.count_y) / 2.0
-        # sqrt((dx*dx + dy*dy) * spacing**2 + separation**2), computed in dx's buffer.
-        d = np.multiply(dx, dx, out=dx)
-        d += np.multiply(dy, dy, out=dy)
-        d *= src.spacing**2
-        d += params.separation**2
-        matrix[rows] = rs_kernel(np.sqrt(d, out=d), params)
+    # Offsets dst - src along each axis, in index units, and the kernel on
+    # every (x, y) offset pair, in the pair_distance oracle's operation order
+    # (tests/conftest.py) so entries match it bit for bit.
+    ox = np.arange(1 - src.count_x, dst.count_x, dtype=float)
+    oy = np.arange(1 - src.count_y, dst.count_y, dtype=float)
+    if centered:
+        ox += (src.count_x - dst.count_x) / 2.0
+        oy += (src.count_y - dst.count_y) / 2.0
+    d = (ox[:, None] ** 2 + oy**2) * src.spacing**2 + params.separation**2
+    table = rs_kernel(np.sqrt(d), params)
+    # Entry (r, c) reads the table at r's coordinates minus c's, shifted to
+    # start at 0.
+    ix = np.arange(dst.count_x)[:, None] - np.arange(src.count_x) + src.count_x - 1
+    iy = np.arange(dst.count_y)[:, None] - np.arange(src.count_y) + src.count_y - 1
+    matrix = table[ix[:, None, :, None], iy[None, :, None, :]].reshape(dst.total, src.total)
     matrix.flags.writeable = False
     return matrix

@@ -128,9 +128,10 @@ class TestGradient:
             np.testing.assert_allclose(a_matrix, a_expected, rtol=1e-12)
             np.testing.assert_allclose(v_vector, v_expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("size", [100, 144, 576])
+    @pytest.mark.parametrize("size", [65, 100, 144, 193, 576])
     def test_blocked_gradient_bit_identical_to_one_expression(self, size):
-        # 100 and 144 leave a partial last block of rows.
+        # 100 and 144 leave a partial last block of rows; 65 and 193 a last
+        # block of 65 rows, since a block of one row is folded into the one before.
         cplx = complex_normal(size)
         e_factor, b_factor, gamma, target = cplx(9, size), cplx(size, 100), cplx(size), cplx(9, 100)
         amplitudes = np.abs(cplx(size)) + 0.05
@@ -142,7 +143,7 @@ class TestGradient:
             2.0 * inner.real / np.maximum(amplitudes, 0.1),
         )
 
-    @pytest.mark.parametrize("size", [100, 144, 576])
+    @pytest.mark.parametrize("size", [65, 100, 144, 193, 576])
     def test_blocked_downstream_factors_bit_identical_to_one_expression(self, size):
         cplx = complex_normal(size + 1)
         mats = [cplx(size, 100), cplx(size, size), cplx(size, size), cplx(9, size)]

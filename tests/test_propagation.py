@@ -8,6 +8,9 @@ from stacksim import (
     GridSpec,
     KernelParams,
     build_propagation_matrix,
+    build_stack,
+    fig5_config,
+    propagation,
     rs_kernel,
 )
 from conftest import pair_distance, rs_kernel_expression
@@ -44,8 +47,8 @@ class TestKernel:
     @pytest.mark.parametrize("centered", [False, True])
     def test_bit_identical_to_one_expression(self, centered):
         params = half_wave_params()
-        # The matrix is built in blocks of 64 destination rows: one block,
-        # partial last blocks (100 and 144 rows), and nine full blocks.
+        # Both alignments, a source smaller and larger than its destination,
+        # odd and even sides (half-integer offsets when centered), up to Q=576.
         for dst_shape, src_shape in ((6, 9), (7, 5)), ((10, 10), (24, 24)), ((12, 12), (5, 13)), ((24, 24), (24, 24)):
             src = GridSpec(*src_shape, params.separation)
             dst = GridSpec(*dst_shape, params.separation)
@@ -122,6 +125,22 @@ class TestPropagationMatrix:
         params = half_wave_params()
         with pytest.raises(ConfigurationError):
             build_propagation_matrix(GridSpec(2, 2, 0.004), GridSpec(2, 2, 0.005), params)
+
+    def test_kernel_evaluated_once_per_offset(self, monkeypatch):
+        # fig5's four hops (2x2 -> 10x10 -> 24x24 -> 24x24 -> 3x3) have
+        # 11^2 + 33^2 + 47^2 + 26^2 = 4095 distinct in-plane offsets, against
+        # 394,960 element pairs.
+        evaluated = []
+
+        def counting_kernel(d, params):
+            evaluated.append(np.size(d))
+            return rs_kernel(d, params)
+
+        monkeypatch.setattr(propagation, "rs_kernel", counting_kernel)
+        stack = build_stack(fig5_config().stack)
+        assert stack.inner_size == 576
+        assert len(evaluated) == 4
+        assert sum(evaluated) <= 4095
 
     def test_result_is_read_only(self):
         params = half_wave_params()

@@ -8,12 +8,13 @@ Each tree is a checkout of this repository whose package is imported from
 the same time, each as a subprocess with ``OPENBLAS_NUM_THREADS=1`` so that
 BLAS threading cannot move a last bit. They write to ``OUT_DIR/parent/<name>``
 and ``OUT_DIR/change/<name>``, and ``compare_outputs.py`` (next to this
-script) compares each pair. The seven commands are the four presets, ``run``
+script) compares each pair. The eight commands are the four presets, ``run``
 on ``DENSE_CELL_CONFIG`` from CHANGE_TREE's ``bench/workloads.py``, and
 ``synth`` on the bare-stack configs ``BARE_SYNTH`` (the default amplitude
-range) and ``BARE_SYNTH_RANGE`` (a narrow one); the configs are written to
-OUT_DIR. The exit status is 0 only when every command succeeded and every
-output record is identical. Uses the standard library only.
+range), ``BARE_SYNTH_RANGE`` (a narrow one) and ``BARE_SYNTH_CENTERED``
+(grids aligned by their centers); the configs are written to OUT_DIR. The
+exit status is 0 only when every command succeeded and every output record
+is identical. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -52,8 +53,23 @@ BARE_SYNTH_RANGE = {
     "master_seed": 9,
 }
 
-# name -> CLI arguments; "{dense_cell}", "{bare_synth}" and "{bare_synth_range}"
-# stand for the config files.
+# Q=36, grids aligned by their centers: odd input and even inner sides give
+# half-integer in-plane offsets between them.
+BARE_SYNTH_CENTERED = {
+    "stack": {
+        "input_shape": [3, 3],
+        "inner_shape": [6, 6],
+        "output_shape": [2, 2],
+        "ac_layers": 1,
+        "pc_layers": 2,
+        "centered_alignment": True,
+    },
+    "pgd": {"max_iterations": 200},
+    "master_seed": 5,
+}
+
+# name -> CLI arguments; "{dense_cell}", "{bare_synth}", "{bare_synth_range}"
+# and "{bare_synth_centered}" stand for the config files.
 BATTERY = {
     "fig3": ["fig3", "--seed", "1", "--trials", "1", "--scale", "0.25"],
     "fig4": ["fig4", "--trials", "1", "--scale", "0.3"],
@@ -62,6 +78,7 @@ BATTERY = {
     "dense-cell": ["run", "{dense_cell}", "--seed", "0", "--trials", "1", "--scale", "0.5"],
     "synth": ["synth", "{bare_synth}"],
     "synth-range": ["synth", "{bare_synth_range}"],
+    "synth-centered": ["synth", "{bare_synth_centered}"],
 }
 
 
@@ -90,6 +107,7 @@ def main(argv: list[str]) -> int:
         "dense_cell": dense_cell_config(trees["change"]),
         "bare_synth": BARE_SYNTH,
         "bare_synth_range": BARE_SYNTH_RANGE,
+        "bare_synth_centered": BARE_SYNTH_CENTERED,
     }
     paths = {}
     for key, config in configs.items():
