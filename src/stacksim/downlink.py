@@ -71,6 +71,8 @@ class DownlinkScenario:
         problems = []
         if self.user_count < 1:
             problems.append("user_count must be at least 1")
+        elif self.user_count < self.streams:
+            problems.append(f"user_count ({self.user_count}) must be at least streams ({self.streams})")
         if not 0 < self.inner_radius_m < self.outer_radius_m:
             problems.append("need 0 < inner_radius_m < outer_radius_m")
         if self.slot_count < 1:

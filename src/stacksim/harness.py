@@ -84,7 +84,8 @@ class ExperimentKind(str, Enum):
 
 @dataclass(frozen=True)
 class SweepAxes:
-    """Swept parameter values; ``None`` axes are not swept.
+    """Swept parameter values, each axis a list of integers; ``None`` axes are
+    not swept. Values are checked on construction.
 
     inner_counts: total cells of the inner layers (must be perfect squares).
     pc_layer_counts: number of phase-controlled layers.
@@ -102,10 +103,12 @@ class SweepAxes:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            try:
-                object.__setattr__(self, f.name, tuple(int(v) for v in value))
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"sweep axis {f.name} must be a list of integers, got {value!r}") from exc
+            if not isinstance(value, (list, tuple)) or not all(type(v) is int for v in value):
+                raise ConfigurationError(f"sweep axis {f.name} must be a list of integers, got {value!r}")
+            object.__setattr__(self, f.name, tuple(value))
+        for cells in self.inner_counts or ():
+            if cells < 0 or math.isqrt(cells) ** 2 != cells:
+                raise ConfigurationError(f"swept layer sizes must be perfect squares, got {cells}")
 
     def axes(self) -> list[tuple[str, tuple[int, ...]]]:
         names = {
@@ -186,43 +189,31 @@ def check_pgd_block(block: dict) -> dict:
     return block
 
 
-# -- sweep-point expansion -----------------------------------------------------
+# -- sweep points --------------------------------------------------------------
 
 
-def sweep_points(config: ExperimentConfig) -> list[dict]:
+def sweep_points(config: ExperimentConfig) -> list[tuple[tuple, StackDescription, DownlinkScenario]]:
+    """Every sweep point resolved once, in ``itertools.product`` order of the
+    swept axes: its ``(axis, value)`` items, stack description and scenario.
+    Without swept axes the one point is ``((), config.stack, config.scenario)``.
+    """
     axes = config.sweep.axes()
-    if not axes:
-        return [{}]
-    names = [name for name, _ in axes]
-    return [dict(zip(names, combo)) for combo in itertools.product(*(values for _, values in axes))]
-
-
-def _square_side(cells: int) -> int:
-    side = math.isqrt(cells)
-    if side * side != cells:
-        raise ConfigurationError(f"swept layer sizes must be perfect squares, got {cells}")
-    return side
-
-
-def stack_for_point(base: StackDescription, point: dict) -> StackDescription:
-    desc = base
-    if "inner_cells" in point:
-        side = _square_side(point["inner_cells"])
-        desc = dataclasses.replace(desc, inner_shape=(side, side))
-    if "pc_layers" in point:
-        desc = dataclasses.replace(desc, pc_layers=int(point["pc_layers"]))
-    if "slots" in point:
-        desc = dataclasses.replace(desc, slot_count=int(point["slots"]))
-    return desc
-
-
-def scenario_for_point(base: DownlinkScenario, point: dict) -> DownlinkScenario:
-    scenario = base
-    if "users" in point:
-        scenario = dataclasses.replace(scenario, user_count=int(point["users"]))
-    if "slots" in point:
-        scenario = dataclasses.replace(scenario, slot_count=int(point["slots"]))
-    return scenario
+    points = []
+    for combo in itertools.product(*(values for _, values in axes)):
+        point = dict(zip((name for name, _ in axes), combo))
+        stack_fields, scenario_fields = {}, {}
+        if "inner_cells" in point:
+            side = math.isqrt(point["inner_cells"])
+            stack_fields["inner_shape"] = (side, side)
+        if "pc_layers" in point:
+            stack_fields["pc_layers"] = point["pc_layers"]
+        if "users" in point:
+            scenario_fields["user_count"] = point["users"]
+        if "slots" in point:
+            stack_fields["slot_count"] = scenario_fields["slot_count"] = point["slots"]
+        desc = dataclasses.replace(config.stack, **stack_fields)
+        points.append((tuple(point.items()), desc, dataclasses.replace(config.scenario, **scenario_fields)))
+    return points
 
 
 def _needs_downlink(kind: ExperimentKind) -> bool:
@@ -230,6 +221,7 @@ def _needs_downlink(kind: ExperimentKind) -> bool:
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
+    """Every problem of ``config``, each sweep point checked as it will run."""
     problems = []
     if config.trial_count < 1:
         problems.append("trial_count must be at least 1")
@@ -238,22 +230,17 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     for name, values in config.sweep.axes():
         if len(values) == 0:
             problems.append(f"swept axis {name} must be non-empty")
-    try:
-        points = sweep_points(config)
-    except ConfigurationError as exc:
-        problems.append(str(exc))
-        points = []
-    for point in points:
-        try:
-            desc = stack_for_point(config.stack, point)
-        except ConfigurationError as exc:
-            problems.append(f"{point}: {exc}")
-            continue
-        for issue in desc.validate():
-            problems.append(f"{point}: {issue}" if point else issue)
-    if _needs_downlink(config.kind):
-        for issue in config.scenario.validate():
-            problems.append(f"scenario: {issue}")
+    downlink = _needs_downlink(config.kind)
+    for items, desc, scenario in sweep_points(config):
+        found = desc.validate()
+        if downlink:
+            found += [f"scenario: {problem}" for problem in scenario.validate()]
+            if scenario.slot_count != desc.slot_count:
+                found.append(
+                    f"scenario slot_count ({scenario.slot_count}) must match the stack's slot_count ({desc.slot_count})"
+                )
+        problems += [f"{dict(items)}: {problem}" if items else problem for problem in found]
+    if downlink:
         n_stack = config.stack.upa_shape[0] * config.stack.upa_shape[1]
         if config.scenario.streams != n_stack:
             problems.append(
@@ -261,11 +248,6 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             )
         if config.scenario.carrier_hz != config.stack.frequency_hz:
             problems.append("scenario carrier_hz must match the stack's frequency_hz")
-        if config.sweep.slot_counts is None and config.scenario.slot_count != config.stack.slot_count:
-            problems.append(
-                f"scenario slot_count ({config.scenario.slot_count}) must match "
-                f"the stack's slot_count ({config.stack.slot_count})"
-            )
     try:
         check_pgd_block(config.pgd)
     except ConfigurationError as exc:
@@ -278,8 +260,7 @@ def _warn_training_budget(config: ExperimentConfig) -> None:
         return
     v = config.stack.output_shape[0] * config.stack.output_shape[1]
     n = config.scenario.streams
-    slot_values = config.sweep.slot_counts or (config.scenario.slot_count,)
-    for m in slot_values:
+    for m in dict.fromkeys(scenario.slot_count for _, _, scenario in sweep_points(config)):
         if not overhead(n, m, 1, v).within_training_budget:
             warnings.warn(
                 f"slot count {m} exceeds the training-overhead budget ({v}/{n}); "
@@ -318,18 +299,21 @@ def synthesize(stack: SimStack, pgd_overrides: dict, master_seed: int, trial: in
 
 
 def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None) -> list[ResultRecord]:
-    """Run every (sweep point, trial), returning one record per metric.
+    """Run every (sweep point, trial) of :func:`sweep_points`, returning one
+    record per metric.
 
-    Consecutive sweep points whose stack descriptions differ at most in the
-    slot count share one built stack, and trials share their point's stack:
-    each trial writes its coefficients and slot phases before use. At most
-    one stack is alive at a time, and it holds one propagation matrix per
-    distinct hop geometry.
+    The config is validated first, point by point as it will run. Each point
+    builds its own stack, after the previous point's stack is released, so at
+    most one stack is alive at a time; the point's trials share it, each
+    writing its coefficients and slot phases before use. Points whose stacks
+    differ at most in the slot count share one synthesis per trial.
 
-    A numeric failure inside one trial is recorded as a ``trial_failed``
-    metric for that (point, trial) and the run continues. For convergence
-    experiments, per-iteration optimizer traces are written to ``trace_dir``
-    when given.
+    Each trial runs with numpy's divide, overflow and invalid-operation
+    errors raised. A trial that raises a numeric error, or whose metrics are
+    not all finite, is recorded as a ``trial_failed`` metric for that
+    (point, trial) with a logged warning, and the run continues. For
+    convergence experiments, per-iteration optimizer traces are written to
+    ``trace_dir`` when given.
     """
     problems = validate_config(config)
     if problems:
@@ -339,48 +323,45 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
     experiment = config.kind.value
     downlink = _needs_downlink(config.kind)
     points = sweep_points(config)
-    user_axis = config.sweep.user_counts
-    max_users = max(user_axis) if user_axis else config.scenario.user_count
+    max_users = max(scenario.user_count for _, _, scenario in points)
 
     synth_cache: dict[tuple[str, int], PgdState] = {}
     users_cache: dict[tuple[int, int], Users] = {}
     records: list[ResultRecord] = []
 
-    stack: SimStack | None = None
-    for point in points:
-        desc = stack_for_point(config.stack, point)
-        scenario = scenario_for_point(config.scenario, point)
+    for sweep_items, desc, scenario in points:
+        stack = None  # release the previous point's stack before building this one
+        stack = build_stack(desc)
         synth_key = _synth_key(desc)
-        if stack is None or _synth_key(stack.description) != synth_key:
-            stack = None  # release the previous stack before building the next
-            stack = build_stack(desc)
-        stack.description = desc  # only the slot count can differ; build_stack does not read it
-        sweep_items = tuple(point.items())
 
         for trial in range(config.trial_count):
             trial_seed = stream_seed(config.master_seed, "trial", trial)
             started = time.perf_counter()
             metrics: dict[str, float] = {}
             try:
-                cache_key = (synth_key, trial)
-                state = synth_cache.get(cache_key)
-                if state is None:
-                    state = synth_cache[cache_key] = synthesize(stack, config.pgd, config.master_seed, trial)
-                    if trace_dir is not None and config.kind is ExperimentKind.SYNTH_CONVERGENCE:
-                        tag = "_".join(f"{k}{v}" for k, v in point.items()) or "base"
-                        write_trace_csv(state, Path(trace_dir) / f"trace_{tag}_trial{trial}.csv")
-                else:
-                    state.apply_to(stack)
-                metrics["objective_db"] = state.final_objective_db
-                metrics["pgd_iterations"] = float(state.iteration)
-                metrics["power_constraint_deviation"] = constraint_deviation(stack)
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    cache_key = (synth_key, trial)
+                    state = synth_cache.get(cache_key)
+                    if state is None:
+                        state = synth_cache[cache_key] = synthesize(stack, config.pgd, config.master_seed, trial)
+                        if trace_dir is not None and config.kind is ExperimentKind.SYNTH_CONVERGENCE:
+                            tag = "_".join(f"{k}{v}" for k, v in sweep_items) or "base"
+                            write_trace_csv(state, Path(trace_dir) / f"trace_{tag}_trial{trial}.csv")
+                    else:
+                        state.apply_to(stack)
+                    metrics["objective_db"] = state.final_objective_db
+                    metrics["pgd_iterations"] = float(state.iteration)
+                    metrics["power_constraint_deviation"] = constraint_deviation(stack)
 
-                if downlink:
-                    metrics.update(
-                        _downlink_metrics(config, stack, scenario, trial, synth_key, users_cache, max_users)
-                    )
+                    if downlink:
+                        metrics.update(
+                            _downlink_metrics(config, stack, scenario, trial, synth_key, users_cache, max_users)
+                        )
+                not_finite = [name for name, value in metrics.items() if not math.isfinite(value)]
+                if not_finite:
+                    raise FloatingPointError(f"non-finite {', '.join(not_finite)}")
             except (ArithmeticError, np.linalg.LinAlgError) as exc:
-                logger.warning("trial %d at %s failed: %s", trial, point or "base point", exc)
+                logger.warning("trial %d at %s failed: %s", trial, dict(sweep_items) or "base point", exc)
                 metrics = {"trial_failed": 1.0}
             elapsed = time.perf_counter() - started
             for metric, value in metrics.items():
@@ -425,6 +406,8 @@ def _downlink_metrics(
     results = [schedule_slot(effective_channels(users, slot_response(stack, m)), noise) for m in range(slots)]
     rates = per_user_rate_matrix(results, len(users))
     ratio = radiated_power_ratio(stack)
+    if not math.isfinite(ratio):  # a numeric failure, not a bad power budget for the baseline
+        raise FloatingPointError(f"radiated_power_ratio is {ratio}")
     # Channels are block-constant: one baseline result serves every slot.
     base_results = [baseline_mimo(users, scenario.streams, noise, total_precoder_power=ratio)] * slots
     base_rates = per_user_rate_matrix(base_results, len(users))
@@ -633,7 +616,7 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
 
     sweep = config.sweep
     if sweep.inner_counts is not None:
-        sides = [_scale_side(_square_side(q), factor, boundary_side) for q in sweep.inner_counts]
+        sides = [_scale_side(math.isqrt(q), factor, boundary_side) for q in sweep.inner_counts]
         scaled = tuple(dict.fromkeys(s * s for s in sides))
         sweep = dataclasses.replace(sweep, inner_counts=scaled)
     if sweep.user_counts is not None:

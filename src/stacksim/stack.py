@@ -180,6 +180,9 @@ class StackDescription:
         for name in ("frequency_hz", "element_spacing_wl", "layer_separation_wl", "feed_separation_wl"):
             if not getattr(self, name) > 0:
                 problems.append(f"{name} must be positive")
+        for name in ("feed_element_area_wl2", "meta_element_area_wl2"):
+            if (area := getattr(self, name)) is not None and not area > 0:
+                problems.append(f"{name} must be positive when given")
         return problems
 
     def to_dict(self) -> dict:
@@ -360,8 +363,9 @@ def build_stack(description: StackDescription) -> SimStack:
     inner_grid = GridSpec(*description.inner_shape, spacing)
     output_grid = GridSpec(*description.output_shape, spacing)
 
-    feed_area = (description.feed_element_area_wl2 or description.element_spacing_wl**2) * lam**2
-    meta_area = (description.meta_element_area_wl2 or description.element_spacing_wl**2) * lam**2
+    cell = description.element_spacing_wl**2  # the default element area
+    feed_area = (cell if description.feed_element_area_wl2 is None else description.feed_element_area_wl2) * lam**2
+    meta_area = (cell if description.meta_element_area_wl2 is None else description.meta_element_area_wl2) * lam**2
     feed_params = KernelParams(lam, feed_area, description.feed_separation_wl * lam)
     layer_params = KernelParams(lam, meta_area, description.layer_separation_wl * lam)
     centered = description.centered_alignment

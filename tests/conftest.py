@@ -192,6 +192,16 @@ def user_sinr(c_row: np.ndarray, n: int, noise_over_energy: float) -> float:
     return float(power[n] / (power.sum() - power[n] + noise_over_energy))
 
 
+def beam_sinr_cdf(x, streams: int, s: float):
+    """CDF of one beam's SINR at one user, F(x) = 1 - e^{-x s} / (1 + x)^{N-1}
+    (Sharif & Hassibi, IEEE Trans. IT 2005), for ``streams`` = N orthonormal
+    beams, i.i.d. CN(0, 1) channel entries and noise over per-beam signal
+    energy ``s``. For x >= 1 at most one beam of a user exceeds x, so the
+    SINR of a beam's scheduled winner among K users has CDF F(x)^K there."""
+    x = np.asarray(x, dtype=float)
+    return 1.0 - np.exp(-x * s) / (1.0 + x) ** (streams - 1)
+
+
 def rs_kernel_expression(d, params: ss.KernelParams):
     """The Rayleigh-Sommerfeld kernel as one numpy expression, the form whose
     entries ``rs_kernel`` must reproduce bit for bit."""

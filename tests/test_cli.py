@@ -221,6 +221,48 @@ def small_run_config(**changes):
                 ("synth", {"stack": {**SMALL_STACK, field: shape}}),
             )
         ),
+        # Each sweep point is validated as it runs: -5 ran on a slice of the
+        # user pool, and fewer users than streams crashed after synthesis.
+        (
+            "run",
+            small_run_config(sweep={"user_counts": [-5, 6]}),
+            "{'users': -5}: scenario: user_count must be at least 1",
+        ),
+        (
+            "run",
+            small_run_config(sweep={"user_counts": [2, 6]}),
+            "{'users': 2}: scenario: user_count (2) must be at least streams (4)",
+        ),
+        (
+            "run",
+            small_run_config(scenario={"user_count": 2, "slot_count": 2}),
+            "scenario: user_count (2) must be at least streams (4)",
+        ),
+        # Sweep values are JSON integers, as every integer field.
+        *(
+            ("run", small_run_config(sweep={"user_counts": [value, 6]}), message)
+            for value, message in (
+                ("10", "sweep axis user_counts must be a list of integers, got ['10', 6]"),
+                (10.7, "sweep axis user_counts must be a list of integers, got [10.7, 6]"),
+                (True, "sweep axis user_counts must be a list of integers, got [True, 6]"),
+            )
+        ),
+        # A given element area must be positive; 0 was replaced by the default.
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "feed_element_area_wl2": 0}),
+            "feed_element_area_wl2 must be positive when given",
+        ),
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "meta_element_area_wl2": -0.25}),
+            "meta_element_area_wl2 must be positive when given",
+        ),
+        (
+            "synth",
+            {"stack": {**SMALL_STACK, "meta_element_area_wl2": 0}},
+            "meta_element_area_wl2 must be positive when given",
+        ),
     ],
 )
 def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, config, message):
@@ -229,6 +271,17 @@ def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, c
     result = runner.invoke(main, [command, str(config_file), "--out", str(tmp_path / "out")])
     assert result.exit_code != 0
     assert message in result.output
+    assert result.output.count("Error:") == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_non_square_inner_counts_rejected_under_scale(runner, tmp_path):
+    # The sizes are checked when the config is read, before --scale takes their square roots.
+    config_file = tmp_path / "bad.json"
+    config_file.write_text(json.dumps(small_run_config(kind="synth_convergence", sweep={"inner_counts": [10, 16]})))
+    result = runner.invoke(main, ["run", str(config_file), "--scale", "0.5", "--out", str(tmp_path / "out")])
+    assert result.exit_code != 0
+    assert "swept layer sizes must be perfect squares, got 10" in result.output
     assert result.output.count("Error:") == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
 

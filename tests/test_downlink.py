@@ -6,7 +6,7 @@ from scipy import stats
 
 import stacksim as ss
 from stacksim.downlink import pathloss
-from conftest import exhaustive_schedule, user_sinr
+from conftest import beam_sinr_cdf, exhaustive_schedule, user_sinr
 
 
 def scenario(**overrides):
@@ -25,6 +25,14 @@ def make_users(fading, rho=1.0):
         pathloss=np.ones(count) * rho,
         fading=fading,
     )
+
+
+class TestScenario:
+    def test_user_count_at_least_streams(self):
+        # Fewer users than streams ran the whole synthesis before the baseline rejected it.
+        assert scenario(user_count=4).validate() == []
+        assert scenario(user_count=3).validate() == ["user_count (3) must be at least streams (4)"]
+        assert scenario(user_count=0).validate() == ["user_count must be at least 1"]
 
 
 class TestDropUsers:
@@ -176,6 +184,38 @@ class TestScheduleSlot:
             result = ss.schedule_slot(eff, 0.05)
             served = [u for u in result.beam_users if u != ss.UNSERVED]
             assert len(served) == len(set(served))
+
+
+    def test_winner_sinr_matches_random_beamforming_distribution(self):
+        # Orthonormal beams and i.i.d. Rayleigh users of equal path loss: with
+        # fading entries of variance 1/V, s = noise * V. One beam per slot
+        # keeps the samples independent; the empirical CDF must stay inside
+        # the 99% Dvoretzky-Kiefer-Wolfowitz band of F(x)^K on [1, 12].
+        v, streams, users, slots, noise = 9, 4, 50, 4000, 0.01
+        rng = np.random.default_rng(5)
+        beams, _ = np.linalg.qr(rng.standard_normal((v, streams)) + 1j * rng.standard_normal((v, streams)))
+        shape = (slots, users, v)
+        fading = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5 / v)
+        samples = np.sort(
+            [
+                ss.schedule_slot(ss.effective_channels(make_users(fading[m]), beams), noise).beam_sinrs[m % streams]
+                for m in range(slots)
+            ]
+        )
+
+        def winner_cdf(x):
+            return beam_sinr_cdf(x, streams, noise * v) ** users
+
+        # The sup of |empirical - F^K| over [1, 12]: at the two ends, and on
+        # either side of each sample step inside.
+        steps = np.arange(1, slots + 1) / slots
+        inside = (samples >= 1.0) & (samples <= 12.0)
+        gaps = np.maximum(np.abs(steps - winner_cdf(samples)), np.abs(steps - 1.0 / slots - winner_cdf(samples)))
+        ends = np.array([1.0, 12.0])
+        end_gaps = np.abs(np.searchsorted(samples, ends, side="right") / slots - winner_cdf(ends))
+        band = math.sqrt(math.log(2.0 / 0.01) / (2.0 * slots))
+        assert band < 0.026
+        assert max(gaps[inside].max(), end_gaps.max()) <= band
 
 
 class TestRates:

@@ -79,24 +79,36 @@ class TestConfigIO:
 
 class TestValidation:
     def test_all_violations_listed(self):
+        # The users axis overrides the base user count, so the bad count is a swept one.
         config = dataclasses.replace(
             tiny_downlink_config(),
             trial_count=0,
             eta_feedback=0.0,
-            scenario=ss.DownlinkScenario(user_count=0, streams=3),
+            scenario=ss.DownlinkScenario(user_count=12, streams=3),
+            sweep=harness.SweepAxes(user_counts=(0, 12)),
         )
         with pytest.raises(ss.ValidationError) as excinfo:
             harness.run_experiment(config)
         message = str(excinfo.value)
         assert "trial_count" in message
         assert "eta_feedback" in message
-        assert "user_count" in message
+        assert "{'users': 0}: scenario: user_count must be at least 1" in message
+        assert "{'users': 12}" not in message
         assert "must match the stack's antenna count" in message
 
+    def test_swept_slot_count_sets_stack_and_scenario(self):
+        # A slots axis sets both slot counts, so the base mismatch never runs.
+        config = dataclasses.replace(
+            tiny_downlink_config(),
+            stack=dataclasses.replace(tiny_downlink_config().stack, slot_count=1),
+            sweep=harness.SweepAxes(slot_counts=(1, 2)),
+        )
+        assert harness.validate_config(config) == []
+
     def test_non_square_swept_size_rejected(self):
-        config = dataclasses.replace(tiny_downlink_config(), sweep=harness.SweepAxes(inner_counts=(10,)))
-        with pytest.raises(ss.ValidationError, match="perfect squares"):
-            harness.run_experiment(config)
+        for cells in (10, -4):
+            with pytest.raises(ss.ConfigurationError, match=f"perfect squares, got {cells}"):
+                harness.SweepAxes(inner_counts=(16, cells))
 
     def test_training_budget_warning(self):
         config = dataclasses.replace(tiny_downlink_config(), sweep=harness.SweepAxes(slot_counts=(3,)))
@@ -110,16 +122,24 @@ class TestSweep:
         sweep = harness.SweepAxes(inner_counts=(25, 36), pc_layer_counts=(4, 5))
         config = dataclasses.replace(tiny_downlink_config(), sweep=sweep)
         points = harness.sweep_points(config)
-        assert points[0] == {"inner_cells": 25, "pc_layers": 4}
-        assert points[1] == {"inner_cells": 25, "pc_layers": 5}
-        assert len(points) == 4
+        assert [items for items, _, _ in points] == [
+            (("inner_cells", 25), ("pc_layers", 4)),
+            (("inner_cells", 25), ("pc_layers", 5)),
+            (("inner_cells", 36), ("pc_layers", 4)),
+            (("inner_cells", 36), ("pc_layers", 5)),
+        ]
 
-    def test_stack_for_point_applies_axes(self):
-        base = tiny_downlink_config().stack
-        desc = harness.stack_for_point(base, {"inner_cells": 36, "pc_layers": 7, "slots": 3})
-        assert desc.inner_shape == (6, 6)
-        assert desc.pc_layers == 7
-        assert desc.slot_count == 3
+    def test_base_point_is_the_config(self):
+        config = dataclasses.replace(tiny_downlink_config(), sweep=harness.SweepAxes())
+        assert harness.sweep_points(config) == [((), config.stack, config.scenario)]
+
+    def test_point_applies_axes(self):
+        sweep = harness.SweepAxes(inner_counts=(36,), pc_layer_counts=(7,), user_counts=(9,), slot_counts=(3,))
+        config = dataclasses.replace(tiny_downlink_config(), sweep=sweep)
+        ((items, desc, scenario),) = harness.sweep_points(config)
+        assert items == (("inner_cells", 36), ("pc_layers", 7), ("users", 9), ("slots", 3))
+        assert desc == dataclasses.replace(config.stack, inner_shape=(6, 6), pc_layers=7, slot_count=3)
+        assert scenario == dataclasses.replace(config.scenario, user_count=9, slot_count=3)
 
 
 class TestRunExperiment:
@@ -143,22 +163,18 @@ class TestRunExperiment:
                 by_point.setdefault(dict(r.sweep)["users"], []).append(r.value)
         assert by_point[6] == by_point[12]
 
-    def test_stack_built_once_per_description_change(self, monkeypatch):
+    def test_one_stack_per_point_previous_released(self, monkeypatch):
         real = harness.build_stack
         built = []
 
         def counting(desc):
-            # The previous stack is released before the next one is built.
+            # The previous point's stack is released before the next one is built.
             assert all(ref() is None for _, ref in built)
             stack = real(desc)
             built.append((desc, weakref.ref(stack)))
             return stack
 
         monkeypatch.setattr(harness, "build_stack", counting)
-        harness.run_experiment(tiny_downlink_config())  # users (6, 12), 2 trials
-        assert len(built) == 1
-
-        built.clear()
         config = dataclasses.replace(
             tiny_downlink_config(trials=1),
             sweep=harness.SweepAxes(user_counts=(6, 12), slot_counts=(1, 2)),
@@ -173,9 +189,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "_downlink_metrics", recording)
         harness.run_experiment(config)
-        # Points run (6, 1), (6, 2), (12, 1), (12, 2): only the slot count
-        # changes, so one stack serves them all and follows the slot count.
-        assert len(built) == 1
+        # Points run (6, 1), (6, 2), (12, 1), (12, 2), each on its own stack.
+        assert [desc for desc, _ in built] == [desc for _, desc, _ in harness.sweep_points(config)]
         assert slot_counts == [1, 2, 1, 2]
 
     def test_user_pool_keyed_by_output_size(self):
@@ -215,6 +230,40 @@ class TestRunExperiment:
         assert len(failed) == 1
         ok = [r for r in records if r.metric == "ta_sum_rate"]
         assert len(ok) == 3  # 2 points x 2 trials, minus the failed trial
+
+    @pytest.mark.parametrize("defect", ["nan_power_ratio", "inf_target"])
+    def test_non_finite_trial_recorded_as_failed(self, monkeypatch, tmp_path, caplog, defect):
+        # A NaN power ratio must stop the trial before the baseline's
+        # argument check raises a ValueError; an inf target entry makes PGD
+        # raise numpy's invalid-operation error.
+        config = tiny_downlink_config(trials=2)
+        name = "radiated_power_ratio" if defect == "nan_power_ratio" else "generate_target"
+        real = getattr(harness, name)
+        calls = {"n": 0}
+
+        def defective(*args, **kwargs):
+            calls["n"] += 1
+            result = real(*args, **kwargs)
+            if calls["n"] > 1:
+                return result
+            if defect == "nan_power_ratio":
+                return float("nan")
+            entries = result.entries.copy()
+            entries[0, 0] = np.inf
+            return dataclasses.replace(result, entries=entries)
+
+        monkeypatch.setattr(harness, name, defective)
+        records = harness.run_experiment(config)
+        assert [r.metric for r in records].count("trial_failed") == 1
+        assert "failed" in caplog.text
+        assert all(np.isfinite(r.value) for r in records)
+        assert len([r for r in records if r.metric == "ta_sum_rate"]) == 3  # the run continued
+        harness.write_summary_json(records, config, tmp_path / "summary.json")
+
+        def reject(constant):
+            raise AssertionError(f"summary.json holds {constant}")
+
+        json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
 
     def test_pinned_downlink_values(self, tmp_path):
         # Every results.csv column but elapsed_s, recorded before the slot

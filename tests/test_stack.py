@@ -105,6 +105,30 @@ class TestBuild:
                 )
             )
 
+    @pytest.mark.parametrize("name", ["feed_element_area_wl2", "meta_element_area_wl2"])
+    @pytest.mark.parametrize("area", [0.0, -0.25])
+    def test_non_positive_element_area_rejected(self, name, area):
+        # An area of 0 was silently replaced by the default; a negative one
+        # failed in the kernel's parameter check.
+        desc = ss.StackDescription(
+            input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=1, pc_layers=1, **{name: area}
+        )
+        assert desc.validate() == [f"{name} must be positive when given"]
+        with pytest.raises(ss.ConfigurationError, match=f"{name} must be positive"):
+            ss.build_stack(desc)
+
+    def test_given_element_area_used(self):
+        default = ss.build_stack(
+            ss.StackDescription(input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=1, pc_layers=1)
+        )
+        doubled = ss.build_stack(
+            ss.StackDescription(
+                input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=1, pc_layers=1,
+                feed_element_area_wl2=0.5,
+            )
+        )
+        np.testing.assert_allclose(doubled.feed_matrix, 2.0 * default.feed_matrix, rtol=1e-12)
+
     def test_description_round_trip_and_unknown_fields(self):
         desc = ss.StackDescription(
             input_shape=(3, 3), inner_shape=(8, 8), output_shape=(5, 5), ac_layers=4, pc_layers=8

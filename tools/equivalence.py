@@ -8,11 +8,12 @@ Each tree is a checkout of this repository whose package is imported from
 the same time, each as a subprocess with ``OPENBLAS_NUM_THREADS=1`` so that
 BLAS threading cannot move a last bit. They write to ``OUT_DIR/parent/<name>``
 and ``OUT_DIR/change/<name>``, and ``compare_outputs.py`` (next to this
-script) compares each pair. The eight commands are the four presets, ``run``
-on ``DENSE_CELL_CONFIG`` from CHANGE_TREE's ``bench/workloads.py``, and
-``synth`` on the bare-stack configs ``BARE_SYNTH`` (the default amplitude
-range), ``BARE_SYNTH_RANGE`` (a narrow one) and ``BARE_SYNTH_CENTERED``
-(grids aligned by their centers); the configs are written to OUT_DIR. The
+script) compares each pair. The nine commands are the four presets, ``run``
+on ``DENSE_CELL_CONFIG`` from CHANGE_TREE's ``bench/workloads.py``, ``run``
+on ``BASE_POINT`` (no swept axis), and ``synth`` on the bare-stack configs
+``BARE_SYNTH`` (the default amplitude range), ``BARE_SYNTH_RANGE`` (a narrow
+one) and ``BARE_SYNTH_CENTERED`` (grids aligned by their centers); the
+configs are written to OUT_DIR. The
 exit status is 0 only when every command succeeded and every output record
 is identical. Uses the standard library only.
 """
@@ -68,14 +69,27 @@ BARE_SYNTH_CENTERED = {
     "master_seed": 5,
 }
 
-# name -> CLI arguments; "{dense_cell}", "{bare_synth}", "{bare_synth_range}"
-# and "{bare_synth_centered}" stand for the config files.
+# One downlink experiment with no swept axis, so it runs the config's own
+# stack and scenario: Q=36, 1 AC + 3 PC layers, 30 users, 2 slots, 2 trials.
+BASE_POINT = {
+    "kind": "sumrate_vs_users",
+    "stack": {"input_shape": [3, 3], "inner_shape": [6, 6], "output_shape": [3, 3], "ac_layers": 1, "pc_layers": 3},
+    "scenario": {"user_count": 30, "slot_count": 2, "streams": 4},
+    "sweep": {},
+    "trial_count": 2,
+    "master_seed": 7,
+    "pgd": {"max_iterations": 200},
+}
+
+# name -> CLI arguments; "{dense_cell}", "{base_point}", "{bare_synth}",
+# "{bare_synth_range}" and "{bare_synth_centered}" stand for the config files.
 BATTERY = {
     "fig3": ["fig3", "--seed", "1", "--trials", "1", "--scale", "0.25"],
     "fig4": ["fig4", "--trials", "1", "--scale", "0.3"],
     "fig5": ["fig5", "--seed", "42", "--trials", "2", "--scale", "0.25"],
     "fig6": ["fig6", "--trials", "1", "--scale", "0.25"],
     "dense-cell": ["run", "{dense_cell}", "--seed", "0", "--trials", "1", "--scale", "0.5"],
+    "base-point": ["run", "{base_point}"],
     "synth": ["synth", "{bare_synth}"],
     "synth-range": ["synth", "{bare_synth_range}"],
     "synth-centered": ["synth", "{bare_synth_centered}"],
@@ -105,6 +119,7 @@ def main(argv: list[str]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     configs = {
         "dense_cell": dense_cell_config(trees["change"]),
+        "base_point": BASE_POINT,
         "bare_synth": BARE_SYNTH,
         "bare_synth_range": BARE_SYNTH_RANGE,
         "bare_synth_centered": BARE_SYNTH_CENTERED,
