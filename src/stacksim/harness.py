@@ -221,7 +221,11 @@ def _needs_downlink(kind: ExperimentKind) -> bool:
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
-    """Every problem of ``config``, each sweep point checked as it will run."""
+    """Every problem of ``config``, each sweep point checked as it will run.
+
+    A problem of the unswept config that every point shares is reported once,
+    as for a config without sweep axes; any other once per point that has it.
+    """
     problems = []
     if config.trial_count < 1:
         problems.append("trial_count must be at least 1")
@@ -231,7 +235,12 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         if len(values) == 0:
             problems.append(f"swept axis {name} must be non-empty")
     downlink = _needs_downlink(config.kind)
-    for items, desc, scenario in sweep_points(config):
+    if not downlink:
+        for name in ("user_counts", "slot_counts"):
+            if getattr(config.sweep, name) is not None:
+                problems.append(f"sweep axis {name} is not used by {config.kind.value} experiments")
+
+    def point_problems(desc: StackDescription, scenario: DownlinkScenario) -> list[str]:
         found = desc.validate()
         if downlink:
             found += [f"scenario: {problem}" for problem in scenario.validate()]
@@ -239,7 +248,17 @@ def validate_config(config: ExperimentConfig) -> list[str]:
                 found.append(
                     f"scenario slot_count ({scenario.slot_count}) must match the stack's slot_count ({desc.slot_count})"
                 )
-        problems += [f"{dict(items)}: {problem}" if items else problem for problem in found]
+        return found
+
+    points = sweep_points(config)
+    found_at: dict[str, list[tuple]] = {}
+    for items, desc, scenario in points:
+        for problem in point_problems(desc, scenario):
+            found_at.setdefault(problem, []).append(items)
+    unswept = point_problems(config.stack, config.scenario)
+    for problem, at in found_at.items():
+        shared = problem in unswept and len(at) == len(points)
+        problems += [problem] if shared else [f"{dict(items)}: {problem}" for items in at]
     if downlink:
         n_stack = config.stack.upa_shape[0] * config.stack.upa_shape[1]
         if config.scenario.streams != n_stack:
@@ -305,7 +324,7 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
     The config is validated first, point by point as it will run. Each point
     builds its own stack, after the previous point's stack is released, so at
     most one stack is alive at a time; the point's trials share it, each
-    writing its coefficients and slot phases before use. Points whose stacks
+    writing its coefficients before use. Points whose stacks
     differ at most in the slot count share one synthesis per trial.
 
     Each trial runs with numpy's divide, overflow and invalid-operation
@@ -401,9 +420,9 @@ def _downlink_metrics(
 
     slots = scenario.slot_count
     seed = stream_seed(config.master_seed, "st-phases", trial, slots, synth_key)
-    stack.set_slot_phases(draw_slot_phases(slots, stack.input_size, seed))
+    phases = draw_slot_phases(slots, stack.input_size, seed)
     noise = scenario.noise_over_energy
-    results = [schedule_slot(effective_channels(users, slot_response(stack, m)), noise) for m in range(slots)]
+    results = [schedule_slot(effective_channels(users, slot_response(stack, row)), noise) for row in phases]
     rates = per_user_rate_matrix(results, len(users))
     ratio = radiated_power_ratio(stack)
     if not math.isfinite(ratio):  # a numeric failure, not a bad power budget for the baseline

@@ -105,6 +105,7 @@ class StackDescription:
     carrier wavelengths; element areas default to the spacing squared (one
     full cell). ``pc_layers`` counts the output layer when
     ``terminal_kind == "pc"`` and ``ac_layers`` counts it when "ac".
+    ``slot_count`` is checked against the scenario's and used by nothing else.
     """
 
     input_shape: tuple[int, int]
@@ -218,8 +219,9 @@ class SimStack:
 
     The propagation matrices are fixed by the geometry and read-only; hops of
     equal geometry share one matrix, so a stack holds at most one Q x Q
-    matrix however many inner layers it has. Layer coefficients and slot
-    phases are the mutable state. Composition results are cached and
+    matrix however many inner layers it has. Layer coefficients are the
+    mutable state; the time-coded input layer's slot phases are not stored
+    but passed to :func:`slot_response`. Composition results are cached and
     invalidated on any coefficient update; composed matrices are handed out
     read-only.
     """
@@ -242,7 +244,6 @@ class SimStack:
         self._tail = tail_matrices
         self._coefficients = coefficients
         self.kinds = tuple(c.kind for c in coefficients)
-        self.slot_phases: np.ndarray | None = None  # (slot_count, input_size)
         self._space_block: np.ndarray | None = None
 
     # -- sizes ---------------------------------------------------------------
@@ -261,10 +262,6 @@ class SimStack:
     @property
     def layer_count(self) -> int:
         return 1 + len(self._coefficients)
-
-    @property
-    def slot_count(self) -> int:
-        return self.description.slot_count
 
     @property
     def space_layers(self) -> range:
@@ -331,19 +328,15 @@ class SimStack:
         self._coefficients[pos] = new
         self._space_block = None
 
+    # The slot-index form of slot_response, for bench/tests/test_spans.py only:
+    # the package passes phase rows and stores no slot phases. Delete with the
+    # benchmark change that mends that test (ROADMAP item 6).
+    @property
+    def slot_count(self) -> int:
+        return self.description.slot_count
+
     def set_slot_phases(self, phases: np.ndarray) -> None:
-        """Install the phases of the time-coded input layer, one row per slot (see
-        :func:`draw_slot_phases`); rows beyond the stack's slot count are dropped."""
-        matrix = np.asarray(phases, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != self.input_size:
-            raise ConfigurationError(
-                f"slot phases must have shape (slots, {self.input_size}), got {matrix.shape}"
-            )
-        if matrix.shape[0] < self.slot_count:
-            raise ConfigurationError(
-                f"need phases for {self.slot_count} slots, got {matrix.shape[0]}"
-            )
-        self.slot_phases = matrix[: self.slot_count]
+        self.slot_phases = phases[: self.slot_count]
 
 
 def build_stack(description: StackDescription) -> SimStack:
@@ -419,15 +412,16 @@ def compose_space_block(stack: SimStack) -> np.ndarray:
     return stack._space_block
 
 
-def slot_response(stack: SimStack, slot: int) -> np.ndarray:
+def slot_response(stack: SimStack, phases: np.ndarray) -> np.ndarray:
     """End-to-end response of one slot, one row per output cell and one column
     per feed antenna: the space block times the slot's input-layer
-    coefficients ``beta * exp(j*phases[slot])`` times the feed matrix."""
-    if stack.slot_phases is None:
-        raise ConfigurationError("slot phases have not been set")
-    if not 0 <= slot < stack.slot_count:
-        raise IndexError(f"slot {slot} outside 0..{stack.slot_count - 1}")
-    delta = stack.beta * np.exp(1j * stack.slot_phases[slot])
+    coefficients ``beta * exp(j*phases)`` times the feed matrix. ``phases`` is
+    one ``(input_size,)`` row of :func:`draw_slot_phases`."""
+    if isinstance(phases, int):  # a slot index into set_slot_phases's rows
+        phases = stack.slot_phases[phases]
+    if phases.shape != (stack.input_size,):
+        raise ConfigurationError(f"slot phases must have shape ({stack.input_size},), got {phases.shape}")
+    delta = stack.beta * np.exp(1j * phases)
     return compose_space_block(stack) @ (delta[:, None] * stack.feed_matrix)
 
 

@@ -24,7 +24,6 @@ def small_stack(
     seed=None,
     alpha_pc=0.9,
     upa_shape=(1, 1),
-    slot_count=2,
 ) -> ss.SimStack:
     """Build a small stack and randomize its tunable coefficients."""
     stack = ss.build_stack(
@@ -36,7 +35,6 @@ def small_stack(
             pc_layers=pc_layers,
             upa_shape=upa_shape,
             alpha_pc=alpha_pc,
-            slot_count=slot_count,
         )
     )
     if seed is not None:

@@ -263,6 +263,12 @@ def small_run_config(**changes):
             {"stack": {**SMALL_STACK, "meta_element_area_wl2": 0}},
             "meta_element_area_wl2 must be positive when given",
         ),
+        # A synthesis kind has no users or slots to sweep.
+        (
+            "run",
+            small_run_config(kind="synth_convergence", sweep={"user_counts": [-5, 7]}),
+            "sweep axis user_counts is not used by synth_convergence experiments",
+        ),
     ],
 )
 def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, config, message):

@@ -96,6 +96,29 @@ class TestValidation:
         assert "{'users': 12}" not in message
         assert "must match the stack's antenna count" in message
 
+    def test_problem_of_every_point_reported_once(self):
+        config = harness.fig6_config(scale=0.25)
+        config = dataclasses.replace(config, stack=dataclasses.replace(config.stack, beta=2.0))
+        assert len(harness.sweep_points(config)) == 18
+        assert harness.validate_config(config) == ["beta must be in (0, 1], got 2.0"]
+        # Every point has this one, but the unswept user_count is fine: the
+        # prefix names the swept value at fault.
+        config = dataclasses.replace(harness.fig5_config(scale=0.25), sweep=harness.SweepAxes(user_counts=(-5,)))
+        assert harness.validate_config(config) == ["{'users': -5}: scenario: user_count must be at least 1"]
+
+    @pytest.mark.parametrize(
+        "preset, axis, values",
+        [(harness.fig4_config, "user_counts", (-5, 7)), (harness.fig3_config, "slot_counts", (1, 2))],
+    )
+    def test_synthesis_kinds_reject_downlink_axes(self, preset, axis, values):
+        # A synthesis never reads a point's users or slots, so such an axis
+        # could only repeat one point's records under other labels.
+        config = preset()
+        config = dataclasses.replace(config, sweep=dataclasses.replace(config.sweep, **{axis: values}))
+        assert harness.validate_config(config) == [
+            f"sweep axis {axis} is not used by {config.kind.value} experiments"
+        ]
+
     def test_swept_slot_count_sets_stack_and_scenario(self):
         # A slots axis sets both slot counts, so the base mismatch never runs.
         config = dataclasses.replace(
@@ -184,7 +207,7 @@ class TestRunExperiment:
         real_metrics = harness._downlink_metrics
 
         def recording(config, stack, *args):
-            slot_counts.append(stack.slot_count)
+            slot_counts.append(stack.description.slot_count)
             return real_metrics(config, stack, *args)
 
         monkeypatch.setattr(harness, "_downlink_metrics", recording)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -198,39 +199,29 @@ class TestCompose:
 class TestSlotResponse:
     def test_identity_input_layer_gives_space_block_times_feed(self):
         stack = small_stack(seed=1)
-        stack.set_slot_phases(np.zeros((2, stack.input_size)))
         expected = ss.compose_space_block(stack) @ stack.feed_matrix
-        np.testing.assert_allclose(ss.slot_response(stack, 0), expected, rtol=1e-14)
+        np.testing.assert_allclose(ss.slot_response(stack, np.zeros(stack.input_size)), expected, rtol=1e-14)
 
     def test_equal_phases_give_equal_responses(self):
         stack = small_stack(seed=2)
         row = np.linspace(0, 5, stack.input_size)
-        stack.set_slot_phases(np.vstack([row, row]))
-        np.testing.assert_array_equal(ss.slot_response(stack, 0), ss.slot_response(stack, 1))
+        np.testing.assert_array_equal(ss.slot_response(stack, row), ss.slot_response(stack, row.copy()))
 
     def test_single_stream_column_expansion(self):
         stack = small_stack(input_shape=(2, 1), upa_shape=(1, 1), seed=3)
         phases = ss.draw_slot_phases(2, stack.input_size, seed=8)
-        stack.set_slot_phases(phases)
         g0 = ss.compose_space_block(stack)
         delta = stack.beta * np.exp(1j * phases[0])
         w1 = stack.feed_matrix
         expected = sum(g0[:, z] * delta[z] * w1[z, 0] for z in range(stack.input_size))
-        np.testing.assert_allclose(ss.slot_response(stack, 0)[:, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(ss.slot_response(stack, phases[0])[:, 0], expected, rtol=1e-12)
 
-    def test_slot_bounds_and_missing_phases(self):
-        stack = small_stack(slot_count=2)
-        with pytest.raises(ss.ConfigurationError):
-            ss.slot_response(stack, 0)
-        stack.set_slot_phases(np.zeros((2, stack.input_size)))
-        with pytest.raises(IndexError):
-            ss.slot_response(stack, 2)
-        with pytest.raises(ss.ConfigurationError):
-            stack.set_slot_phases(np.zeros((2, stack.input_size + 1)))
-        with pytest.raises(ss.ConfigurationError):
-            stack.set_slot_phases(np.zeros((1, stack.input_size)))
-        stack.set_slot_phases(np.zeros((3, stack.input_size)))
-        assert stack.slot_phases.shape == (2, stack.input_size)
+    def test_wrong_phase_shape_rejected(self):
+        stack = small_stack()
+        for phases in (np.zeros(stack.input_size + 1), np.zeros((2, stack.input_size))):
+            message = f"slot phases must have shape ({stack.input_size},), got {phases.shape}"
+            with pytest.raises(ss.ConfigurationError, match=re.escape(message)):
+                ss.slot_response(stack, phases)
 
 
 class TestRadiatedPower:
@@ -253,9 +244,9 @@ class TestRadiatedPower:
     def test_expected_response_energy_matches_ratio(self):
         # E ||response||_F^2 over random input-layer phases equals the power
         # ratio; 1000 draws keep the sample mean within 2%.
-        stack = small_stack(input_shape=(3, 3), inner_shape=(4, 3), seed=8, slot_count=1000)
+        stack = small_stack(input_shape=(3, 3), inner_shape=(4, 3), seed=8)
         ratio = ss.radiated_power_ratio(stack)
         rng = np.random.default_rng(123)
-        stack.set_slot_phases(rng.uniform(0, 2 * np.pi, (1000, stack.input_size)))
-        energies = [np.sum(np.abs(ss.slot_response(stack, m)) ** 2) for m in range(1000)]
+        phases = rng.uniform(0, 2 * np.pi, (1000, stack.input_size))
+        energies = [np.sum(np.abs(ss.slot_response(stack, row)) ** 2) for row in phases]
         assert np.mean(energies) == pytest.approx(ratio, rel=0.02)
