@@ -26,6 +26,7 @@ from .downlink import (
 from .errors import ConfigurationError, ValidationError
 from .geometry import GridSpec
 from .harness import (
+    PRESETS,
     ExperimentConfig,
     ExperimentKind,
     ResultRecord,
@@ -33,10 +34,6 @@ from .harness import (
     apply_scale,
     config_from_dict,
     config_to_dict,
-    fig3_config,
-    fig4_config,
-    fig5_config,
-    fig6_config,
     run_experiment,
     summarize,
     synthesize,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,24 +24,37 @@ def main() -> None:
     """Randomized space-time coded metasurface stack simulator."""
 
 
+def _finite(ctx, param, value):
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 def _preset_options(downlink: bool):
     def wrap(f):
         f = click.option("--seed", type=int, default=None, help="Master seed [default: 0].")(f)
         f = click.option("--trials", type=int, default=None, help="Trials per sweep point.")(f)
         f = click.option("--out", type=click.Path(), default=None, help="Output directory.")(f)
         scale = click.FloatRange(0.0, 1.0, min_open=True)
-        f = click.option("--scale", type=scale, default=1.0, show_default=True, help="Desk-scale shrink factor.")(f)
+        f = click.option(
+            "--scale", type=scale, default=1.0, show_default=True, callback=_finite, help="Desk-scale shrink factor."
+        )(f)
         if downlink:
-            f = click.option("--eta", type=float, default=None, help="Path-loss exponent override.")(f)
-            f = click.option("--d0", type=float, default=None, help="Reference distance override (m).")(f)
+            for flag, text in (("--eta", "Path-loss exponent override."), ("--d0", "Reference distance override (m).")):
+                f = click.option(flag, type=float, default=None, callback=_finite, help=text)(f)
         return f
 
     return wrap
 
 
-def _execute(config: harness.ExperimentConfig, out: str | None) -> None:
-    out_dir = Path(out) if out else Path("results") / config.kind.value
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _execute(load, out: str | None, seed, trials, scale, eta=None, d0=None) -> None:
+    """The presets' and ``run``'s one path: run ``load()`` with the flags applied and
+    write its results to ``out``, the config's ``output_path`` or ``results/<kind>``."""
+    try:
+        config = harness.with_overrides(load(), seed, trials, scale, eta, d0)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
+    out_dir = Path(out or config.output_path or Path("results") / config.kind.value)
     try:
         records = harness.run_experiment(config, trace_dir=out_dir)
     except ValidationError as exc:
@@ -60,45 +74,31 @@ def _execute(config: harness.ExperimentConfig, out: str | None) -> None:
     click.echo(f"wrote {out_dir / 'results.csv'} and {out_dir / 'summary.json'}")
 
 
-@main.command()
-@_preset_options(downlink=False)
-def fig3(seed, trials, out, scale) -> None:
-    """Synthesis error vs number of phase-controlled layers and inner cells."""
-    _execute(harness.fig3_config(seed, trials, scale), out)
+_PRESET_HELP = {
+    "fig3": "Synthesis error vs number of phase-controlled layers and inner cells.",
+    "fig4": "Optimizer convergence traces for several inner layer sizes.",
+    "fig5": "Time-averaged sum rate vs user count, against the full-feedback baseline.",
+    "fig6": "Fairness vs user count for several slot counts.",
+}
 
 
-@main.command()
-@_preset_options(downlink=False)
-def fig4(seed, trials, out, scale) -> None:
-    """Optimizer convergence traces for several inner layer sizes."""
-    _execute(harness.fig4_config(seed, trials, scale), out)
+def _add_preset(name: str) -> None:
+    @main.command(name, help=_PRESET_HELP[name])
+    @_preset_options(downlink=harness._needs_downlink(harness.PRESETS[name].kind))
+    def preset(out, **flags) -> None:
+        _execute(lambda: harness.PRESETS[name], out, **flags)
 
 
-@main.command()
-@_preset_options(downlink=True)
-def fig5(seed, trials, out, scale, eta, d0) -> None:
-    """Time-averaged sum rate vs user count, against the full-feedback baseline."""
-    _execute(harness.fig5_config(seed, trials, scale, eta, d0), out)
-
-
-@main.command()
-@_preset_options(downlink=True)
-def fig6(seed, trials, out, scale, eta, d0) -> None:
-    """Fairness vs user count for several slot counts."""
-    _execute(harness.fig6_config(seed, trials, scale, eta, d0), out)
+for _name in harness.PRESETS:
+    _add_preset(_name)
 
 
 @main.command()
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False))
 @_preset_options(downlink=True)
-def run(config_file, seed, trials, out, scale, eta, d0) -> None:
+def run(config_file, out, **flags) -> None:
     """Run a custom experiment from a JSON config file."""
-    try:
-        config = harness.config_from_dict(json.loads(Path(config_file).read_text()))
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-    config = harness.with_overrides(config, seed, trials, scale, eta, d0)
-    _execute(config, out or config.output_path)
+    _execute(lambda: harness.config_from_dict(json.loads(Path(config_file).read_text())), out, **flags)
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,6 @@ def synth(config_file, seed, out) -> None:
         raise click.ClickException(str(exc)) from exc
 
     out_dir = Path(out) if out else Path("results") / "synth"
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(state, out_dir / "pgd_trace.csv")
     summary = {
         "stack": stack_desc.to_dict(),

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one reader of config objects."""
 
 import json
+import math
 from dataclasses import MISSING, fields
 
 
@@ -26,7 +27,7 @@ def read_object(section: str, data, cls) -> dict:
     Rejects a value that is not an object, fields ``cls`` does not have,
     missing fields that ``cls`` gives no default, and scalar values and grid
     shapes whose JSON type does not match the field's annotation (``true`` is
-    not an integer; an integer is a number).
+    not an integer; an integer is a number), and NaN or infinite numbers.
     """
     if not isinstance(data, dict):
         raise ConfigurationError(f"{section} must be a JSON object, got {type(data).__name__}")
@@ -50,4 +51,6 @@ def read_object(section: str, data, cls) -> dict:
             types, expected = _JSON_TYPES[kinds[0]], _NAMES[kinds[0]]
             if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
                 raise ConfigurationError(f"{section} field {f.name} must be {expected}, got {type(value).__name__}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{section} field {f.name} must be a finite number, got {json.dumps(value)}")
     return dict(data)

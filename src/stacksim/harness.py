@@ -59,10 +59,7 @@ __all__ = [
     "summarize",
     "write_csv",
     "write_summary_json",
-    "fig3_config",
-    "fig4_config",
-    "fig5_config",
-    "fig6_config",
+    "PRESETS",
     "apply_scale",
     "with_overrides",
     "config_from_dict",
@@ -70,8 +67,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_DOWNLINK_KINDS = ("sumrate_vs_users", "fairness_vs_users")
 
 
 class ExperimentKind(str, Enum):
@@ -217,7 +212,7 @@ def sweep_points(config: ExperimentConfig) -> list[tuple[tuple, StackDescription
 
 
 def _needs_downlink(kind: ExperimentKind) -> bool:
-    return kind.value in _DOWNLINK_KINDS or kind is ExperimentKind.CUSTOM
+    return kind not in (ExperimentKind.SYNTH_SWEEP_LAYERS, ExperimentKind.SYNTH_CONVERGENCE)
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
@@ -512,84 +507,40 @@ def write_summary_json(records: list[ResultRecord], config: ExperimentConfig, pa
 
 # -- presets ------------------------------------------------------------------------
 
-_SYNTH_STACK = StackDescription(
-    input_shape=(3, 3), inner_shape=(8, 8), output_shape=(5, 5), ac_layers=4, pc_layers=8, slot_count=1
-)
-_SYNTH_SCENARIO = DownlinkScenario(user_count=1, slot_count=1, streams=4)
-_DOWNLINK_STACK = StackDescription(
-    input_shape=(10, 10), inner_shape=(24, 24), output_shape=(3, 3), ac_layers=2, pc_layers=6, slot_count=2
-)
-_DOWNLINK_SCENARIO = DownlinkScenario(user_count=500, slot_count=2, streams=4)
-_DOWNLINK_USERS = (10, 50, 100, 200, 350, 500)
-
-
-def fig3_config(seed: int | None = None, trials: int | None = None, scale: float = 1.0) -> ExperimentConfig:
-    """Final synthesis error versus phase-controlled layer count, for several
-    inner layer sizes."""
-    config = ExperimentConfig(
+# The paper's four experiments at full size; commands apply their flags with
+# :func:`with_overrides`. fig4 and fig6 are fig3 and fig5 with another kind and sweep.
+PRESETS: dict[str, ExperimentConfig] = {
+    "fig3": ExperimentConfig(
         kind=ExperimentKind.SYNTH_SWEEP_LAYERS,
-        stack=_SYNTH_STACK,
-        scenario=_SYNTH_SCENARIO,
+        stack=StackDescription(
+            input_shape=(3, 3), inner_shape=(8, 8), output_shape=(5, 5), ac_layers=4, pc_layers=8, slot_count=1
+        ),
+        scenario=DownlinkScenario(user_count=1, slot_count=1, streams=4),
         sweep=SweepAxes(inner_counts=(25, 36, 49, 64), pc_layer_counts=tuple(range(4, 15))),
         trial_count=5,
-    )
-    return with_overrides(config, seed, trials, scale)
-
-
-def fig4_config(seed: int | None = None, trials: int | None = None, scale: float = 1.0) -> ExperimentConfig:
-    """Optimizer convergence traces for several inner layer sizes."""
-    config = ExperimentConfig(
-        kind=ExperimentKind.SYNTH_CONVERGENCE,
-        stack=_SYNTH_STACK,
-        scenario=_SYNTH_SCENARIO,
-        sweep=SweepAxes(inner_counts=(25, 36, 49, 64)),
-        trial_count=5,
-    )
-    return with_overrides(config, seed, trials, scale)
-
-
-def fig5_config(
-    seed: int | None = None,
-    trials: int | None = None,
-    scale: float = 1.0,
-    eta: float | None = None,
-    d0: float | None = None,
-) -> ExperimentConfig:
-    """Time-averaged sum rate versus user count, against the full-feedback baseline.
-
-    The optimizer is capped at 300 iterations here, which trades fit depth
-    for run time. The downlink metrics do move with the fit: on a Q=144 stack
-    over 12 trials, the sum rate at 10 users rose 33% from 30 to 300
-    iterations.
-    """
-    config = ExperimentConfig(
+    ),
+    # The optimizer is capped at 300 iterations, which trades fit depth for run
+    # time. The downlink metrics do move with the fit: on a Q=144 stack over 12
+    # trials, the sum rate at 10 users rose 33% from 30 to 300 iterations.
+    "fig5": ExperimentConfig(
         kind=ExperimentKind.SUMRATE_VS_USERS,
-        stack=_DOWNLINK_STACK,
-        scenario=_DOWNLINK_SCENARIO,
-        sweep=SweepAxes(user_counts=_DOWNLINK_USERS),
+        stack=StackDescription(
+            input_shape=(10, 10), inner_shape=(24, 24), output_shape=(3, 3), ac_layers=2, pc_layers=6, slot_count=2
+        ),
+        scenario=DownlinkScenario(user_count=500, slot_count=2, streams=4),
+        sweep=SweepAxes(user_counts=(10, 50, 100, 200, 350, 500)),
         trial_count=100,
         pgd={"max_iterations": 300},
-    )
-    return with_overrides(config, seed, trials, scale, eta, d0)
-
-
-def fig6_config(
-    seed: int | None = None,
-    trials: int | None = None,
-    scale: float = 1.0,
-    eta: float | None = None,
-    d0: float | None = None,
-) -> ExperimentConfig:
-    """Fairness versus user count for several slot counts."""
-    config = ExperimentConfig(
-        kind=ExperimentKind.FAIRNESS_VS_USERS,
-        stack=_DOWNLINK_STACK,
-        scenario=_DOWNLINK_SCENARIO,
-        sweep=SweepAxes(user_counts=_DOWNLINK_USERS, slot_counts=(1, 2, 3)),
-        trial_count=100,
-        pgd={"max_iterations": 300},
-    )
-    return with_overrides(config, seed, trials, scale, eta, d0)
+    ),
+}
+PRESETS["fig4"] = dataclasses.replace(
+    PRESETS["fig3"], kind=ExperimentKind.SYNTH_CONVERGENCE, sweep=SweepAxes(inner_counts=(25, 36, 49, 64))
+)
+PRESETS["fig6"] = dataclasses.replace(
+    PRESETS["fig5"],
+    kind=ExperimentKind.FAIRNESS_VS_USERS,
+    sweep=dataclasses.replace(PRESETS["fig5"].sweep, slot_counts=(1, 2, 3)),
+)
 
 
 def with_overrides(

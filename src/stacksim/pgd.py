@@ -37,6 +37,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -376,7 +377,7 @@ def constraint_deviation(stack: SimStack) -> float:
 
 
 def write_trace_csv(state: PgdState, path) -> None:
-    """Dump the per-iteration objective and accepted step sizes to CSV."""
+    """Dump the per-iteration objective and accepted step sizes to CSV, making its directory."""
     layers = sorted(state.phases)
     header = ["iteration", "objective_linear", "objective_db"] + [f"step_layer_{l}" for l in layers]
     lines = [",".join(header)]
@@ -387,5 +388,6 @@ def write_trace_csv(state: PgdState, path) -> None:
         else:
             row += ["" if np.isnan(s) else repr(float(s)) for s in state.accepted_steps[k - 1]]
         lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")

@@ -149,11 +149,9 @@ class StackDescription:
         return (db_to_amplitude(self.alpha_min_db), db_to_amplitude(self.alpha_max_db))
 
     def validate(self) -> list[str]:
-        problems = []
-        n = self.upa_shape[0] * self.upa_shape[1]
-        z = self.input_shape[0] * self.input_shape[1]
-        q = self.inner_shape[0] * self.inner_shape[1]
-        v = self.output_shape[0] * self.output_shape[1]
+        shapes = {name: getattr(self, name) for name in ("upa_shape", "input_shape", "inner_shape", "output_shape")}
+        n, z, q, v = (shape[0] * shape[1] for shape in shapes.values())
+        problems = [f"{name} counts must be at least 1, got {list(s)}" for name, s in shapes.items() if min(s) < 1]
         if self.terminal_kind not in ("pc", "ac"):
             problems.append(f"terminal_kind must be 'pc' or 'ac', got {self.terminal_kind!r}")
         if self.ac_layers < 0 or self.pc_layers < 0:
@@ -178,6 +176,8 @@ class StackDescription:
             problems.append("alpha_min_db must not exceed alpha_max_db")
         if self.slot_count < 1:
             problems.append("slot_count must be at least 1")
+        if self.ac_phase_seed is not None and self.ac_phase_seed < 0:
+            problems.append(f"ac_phase_seed must be non-negative, got {self.ac_phase_seed}")
         for name in ("frequency_hz", "element_spacing_wl", "layer_separation_wl", "feed_separation_wl"):
             if not getattr(self, name) > 0:
                 problems.append(f"{name} must be positive")

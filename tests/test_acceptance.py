@@ -167,7 +167,7 @@ def test_criterion_7_scheduler_matches_exhaustive_search():
 
 def test_criterion_8_sum_rate_crossover():
     started = time.perf_counter()
-    base = harness.fig5_config(seed=42, trials=50)
+    base = harness.with_overrides(harness.PRESETS["fig5"], seed=42, trials=50)
     stack = dataclasses.replace(base.stack, input_shape=(6, 6), inner_shape=(12, 12), output_shape=(3, 3))
     config = dataclasses.replace(base, stack=stack, sweep=harness.SweepAxes(user_counts=(10, 50, 200, 500)))
     records = harness.run_experiment(config)
@@ -199,7 +199,7 @@ def test_criterion_9_factor_m_fairness():
     # sum-rate crossover of criterion 8 needs that same noise sensitivity —
     # see the calibration note in the README). All parameters print below.
     started = time.perf_counter()
-    base = harness.fig6_config(seed=7, trials=24, eta=2.4)
+    base = harness.with_overrides(harness.PRESETS["fig6"], seed=7, trials=24, eta=2.4)
     stack = dataclasses.replace(base.stack, input_shape=(6, 6), inner_shape=(16, 16), output_shape=(3, 3))
     config = dataclasses.replace(
         base,

@@ -1,5 +1,6 @@
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -37,8 +38,8 @@ def test_run_custom_config(runner, tmp_path):
     config = harness.config_to_dict(
         harness.ExperimentConfig(
             kind=harness.ExperimentKind.SYNTH_CONVERGENCE,
-            stack=harness.fig4_config(scale=0.2).stack,
-            scenario=harness.fig4_config().scenario,
+            stack=harness.with_overrides(harness.PRESETS["fig4"], scale=0.2).stack,
+            scenario=harness.PRESETS["fig4"].scenario,
             sweep=harness.SweepAxes(inner_counts=(9,)),
             trial_count=1,
             master_seed=3,
@@ -62,7 +63,7 @@ def test_run_rejects_unknown_fields(runner, tmp_path):
 
 
 def test_run_reports_validation_errors(runner, tmp_path):
-    config = harness.config_to_dict(harness.fig5_config(trials=1, scale=0.2))
+    config = harness.config_to_dict(harness.with_overrides(harness.PRESETS["fig5"], trials=1, scale=0.2))
     config["scenario"]["streams"] = 5  # mismatch with the 2x2 array
     config_file = tmp_path / "invalid.json"
     config_file.write_text(json.dumps(config))
@@ -121,7 +122,7 @@ def test_synth_rejects_bad_pgd_block(runner, tmp_path, pgd, message):
 
 
 def test_run_rejects_pgd_seed(runner, tmp_path):
-    config = harness.config_to_dict(harness.fig4_config(trials=1, scale=0.2))
+    config = harness.config_to_dict(harness.with_overrides(harness.PRESETS["fig4"], trials=1, scale=0.2))
     config["pgd"] = {"seed": 5}
     config_file = tmp_path / "seeded.json"
     config_file.write_text(json.dumps(config))
@@ -135,6 +136,48 @@ def test_zero_trials_rejected(runner, tmp_path, command):
     result = runner.invoke(main, [command, "--trials", "0", "--scale", "0.25", "--out", str(tmp_path / command)])
     assert result.exit_code != 0
     assert "trial_count must be at least 1" in result.output
+    assert not (tmp_path / command).exists()  # a rejected config writes nothing
+
+
+@pytest.mark.parametrize("flag, value", [("--scale", "nan"), ("--eta", "inf"), ("--d0", "inf")])
+def test_non_finite_flags_rejected(runner, tmp_path, flag, value):
+    # NaN scale crashed in apply_scale; an infinite eta zeroed every rate and
+    # an infinite d0 failed every trial.
+    out = tmp_path / "fig5"
+    result = runner.invoke(main, ["fig5", "--trials", "1", "--scale", "0.12", flag, value, "--out", str(out)])
+    assert result.exit_code != 0
+    assert f"Invalid value for '{flag}': {float(value)} is not a finite number" in result.output
+    assert result.output.count("Error:") == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
+COMMON_OPTIONS = {"--seed": None, "--trials": None, "--out": None, "--scale": 1.0}
+DOWNLINK_OPTIONS = {**COMMON_OPTIONS, "--eta": None, "--d0": None}
+
+
+def test_cli_surface(runner):
+    # The preset commands are generated from harness.PRESETS; this pins what they offer.
+    expected = {
+        "fig3": ((), COMMON_OPTIONS, "Synthesis error vs number of phase-controlled layers and inner cells."),
+        "fig4": ((), COMMON_OPTIONS, "Optimizer convergence traces for several inner layer sizes."),
+        "fig5": ((), DOWNLINK_OPTIONS, "Time-averaged sum rate vs user count, against the full-feedback baseline."),
+        "fig6": ((), DOWNLINK_OPTIONS, "Fairness vs user count for several slot counts."),
+        "run": (("config_file",), DOWNLINK_OPTIONS, "Run a custom experiment from a JSON config file."),
+        "synth": (
+            ("config_file",),
+            {"--seed": None, "--out": None},
+            'One synthesis run from a config file holding at least a "stack" object.',
+        ),
+    }
+    assert set(main.commands) == set(expected)
+    for name, (arguments, options, help_line) in expected.items():
+        command = main.commands[name]
+        assert tuple(param.name for param in command.params if isinstance(param, click.Argument)) == arguments
+        assert {param.opts[0]: param.default for param in command.params if isinstance(param, click.Option)} == options
+        assert command.get_short_help_str(limit=200) == help_line
+    result = runner.invoke(main, ["fig3", "--eta", "2"])
+    assert result.exit_code == 2 and "No such option '--eta'" in result.output
 
 
 SMALL_STACK = {
@@ -268,6 +311,51 @@ def small_run_config(**changes):
             "run",
             small_run_config(kind="synth_convergence", sweep={"user_counts": [-5, 7]}),
             "sweep axis user_counts is not used by synth_convergence experiments",
+        ),
+        # NaN and infinite numbers: a NaN amplitude bound crashed in PGD's
+        # projection, and the infinite values below ran to exit status 0.
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "alpha_min_db": float("nan")}),
+            "stack field alpha_min_db must be a finite number, got NaN",
+        ),
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "alpha_max_db": float("inf")}),
+            "stack field alpha_max_db must be a finite number, got Infinity",
+        ),
+        *(
+            (
+                "run",
+                small_run_config(scenario={"user_count": 6, "slot_count": 2, field: value}),
+                f"scenario field {field} must be a finite number, got {got}",
+            )
+            for field, value, got in (
+                ("noise_psd_dbm_hz", float("inf"), "Infinity"),
+                ("outer_radius_m", float("inf"), "Infinity"),
+                ("noise_psd_dbm_hz", float("-inf"), "-Infinity"),
+            )
+        ),
+        # Every grid count is at least 1: a negative pair has a positive
+        # product, so the size checks passed and the grid build crashed.
+        *(
+            ("run", small_run_config(stack={**SMALL_STACK, field: shape}), f"{field} counts must be at least 1")
+            for field, shape in (
+                ("input_shape", [-2, -2]),
+                ("upa_shape", [-2, -2]),
+                ("inner_shape", [-3, -3]),
+                ("output_shape", [-3, -3]),
+            )
+        ),
+        (
+            "run",
+            small_run_config(kind="synth_convergence", stack={**SMALL_STACK, "upa_shape": [0, 2]}),
+            "upa_shape counts must be at least 1, got [0, 2]",
+        ),
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "ac_phase_seed": -1}),
+            "ac_phase_seed must be non-negative, got -1",
         ),
     ],
 )

@@ -97,23 +97,25 @@ class TestValidation:
         assert "must match the stack's antenna count" in message
 
     def test_problem_of_every_point_reported_once(self):
-        config = harness.fig6_config(scale=0.25)
+        config = harness.with_overrides(harness.PRESETS["fig6"], scale=0.25)
         config = dataclasses.replace(config, stack=dataclasses.replace(config.stack, beta=2.0))
         assert len(harness.sweep_points(config)) == 18
         assert harness.validate_config(config) == ["beta must be in (0, 1], got 2.0"]
         # Every point has this one, but the unswept user_count is fine: the
         # prefix names the swept value at fault.
-        config = dataclasses.replace(harness.fig5_config(scale=0.25), sweep=harness.SweepAxes(user_counts=(-5,)))
+        config = harness.with_overrides(harness.PRESETS["fig5"], scale=0.25)
+        config = dataclasses.replace(config, sweep=harness.SweepAxes(user_counts=(-5,)))
         assert harness.validate_config(config) == ["{'users': -5}: scenario: user_count must be at least 1"]
 
     @pytest.mark.parametrize(
         "preset, axis, values",
-        [(harness.fig4_config, "user_counts", (-5, 7)), (harness.fig3_config, "slot_counts", (1, 2))],
+        [("fig4", "user_counts", (-5, 7)), ("fig3", "slot_counts", (1, 2))],
+        ids=["fig4-user_counts", "fig3-slot_counts"],
     )
     def test_synthesis_kinds_reject_downlink_axes(self, preset, axis, values):
         # A synthesis never reads a point's users or slots, so such an axis
         # could only repeat one point's records under other labels.
-        config = preset()
+        config = harness.PRESETS[preset]
         config = dataclasses.replace(config, sweep=dataclasses.replace(config.sweep, **{axis: values}))
         assert harness.validate_config(config) == [
             f"sweep axis {axis} is not used by {config.kind.value} experiments"
@@ -363,14 +365,14 @@ class TestCsv:
 
 class TestPresetsAndScale:
     def test_fig3_preset_axes(self):
-        config = harness.fig3_config()
+        config = harness.PRESETS["fig3"]
         assert config.kind is harness.ExperimentKind.SYNTH_SWEEP_LAYERS
         assert config.sweep.inner_counts == (25, 36, 49, 64)
         assert config.sweep.pc_layer_counts == tuple(range(4, 15))
         assert config.stack.input_shape == (3, 3) and config.stack.output_shape == (5, 5)
 
     def test_fig5_preset_full_size(self):
-        config = harness.fig5_config()
+        config = harness.PRESETS["fig5"]
         assert config.stack.inner_shape == (24, 24)
         assert config.stack.input_shape == (10, 10)
         assert config.stack.output_shape == (3, 3)
@@ -378,7 +380,7 @@ class TestPresetsAndScale:
         assert config.trial_count == 100
 
     def test_scale_shrinks_consistently(self):
-        config = harness.fig5_config(scale=0.25)
+        config = harness.with_overrides(harness.PRESETS["fig5"], scale=0.25)
         assert config.stack.inner_shape == (12, 12)
         assert config.stack.input_shape == (5, 5)
         assert config.stack.output_shape == (2, 2)
@@ -388,13 +390,13 @@ class TestPresetsAndScale:
         assert problems == []
 
     def test_overrides_apply_given_values_only(self):
-        base = harness.fig6_config()
+        base = harness.PRESETS["fig6"]
         config = harness.with_overrides(base, seed=3, d0=2.0)
         assert (config.master_seed, config.trial_count) == (3, base.trial_count)
         assert config.scenario == dataclasses.replace(base.scenario, reference_distance_m=2.0)
         assert harness.with_overrides(base) == base
-        assert harness.fig6_config(seed=3, d0=2.0) == config
+        assert harness.PRESETS["fig6"].master_seed == 0  # the table itself is never changed
 
     def test_scale_bounds(self):
         with pytest.raises(ValueError):
-            harness.apply_scale(harness.fig5_config(), 1.5)
+            harness.apply_scale(harness.PRESETS["fig5"], 1.5)

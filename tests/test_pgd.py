@@ -195,7 +195,7 @@ class TestRunPgd:
         # the per-layer downstream factors (V x Q each) are held; the Hadamard
         # form and the backward sweep are streamed in blocks, so the run peaks
         # below one Q x Q complex matrix above what was held before it.
-        stack = ss.build_stack(ss.fig5_config().stack)
+        stack = ss.build_stack(ss.PRESETS["fig5"].stack)
         target = ss.generate_target(stack.input_size, stack.output_size, stack.beta, stack.w1_frobenius, 3)
         assert (stack.inner_size, stack.input_size, stack.output_size) == (576, 100, 9)
         unit = 576**2 * 16
@@ -265,7 +265,7 @@ class TestRunPgd:
         # after one iteration with the objective unchanged.
         with pytest.raises(ValueError, match=re.escape(message)):
             ss.PgdConfig(**overrides)
-        config = dataclasses.replace(harness.fig4_config(trials=1), pgd=overrides)
+        config = dataclasses.replace(harness.with_overrides(harness.PRESETS["fig4"], trials=1), pgd=overrides)
         assert f"pgd: {message}" in harness.validate_config(config)
 
     @pytest.mark.parametrize("bounds", [{"alpha_min": 5.0}, {"alpha_max": 0.01}])

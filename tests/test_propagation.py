@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from stacksim import (
+    PRESETS,
     ConfigurationError,
     GridSpec,
     KernelParams,
     build_propagation_matrix,
     build_stack,
-    fig5_config,
     propagation,
     rs_kernel,
 )
@@ -137,7 +137,7 @@ class TestPropagationMatrix:
             return rs_kernel(d, params)
 
         monkeypatch.setattr(propagation, "rs_kernel", counting_kernel)
-        stack = build_stack(fig5_config().stack)
+        stack = build_stack(PRESETS["fig5"].stack)
         assert stack.inner_size == 576
         assert len(evaluated) == 4
         assert sum(evaluated) <= 4095

@@ -81,7 +81,7 @@ class TestBuild:
         # Q=576: each propagation matrix is gathered from a table of its
         # distinct offsets, so the peak is the one inner hop plus the small
         # boundary hops and tables.
-        desc = ss.fig5_config().stack
+        desc = ss.PRESETS["fig5"].stack
         assert desc.inner_shape == (24, 24)
         unit = 576**2 * 16
         tracemalloc.start()
