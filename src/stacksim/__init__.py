@@ -56,7 +56,6 @@ from .pgd import (
 from .propagation import SPEED_OF_LIGHT, KernelParams, build_propagation_matrix, rs_kernel
 from .randomizer import draw_slot_phases, stream_rng, stream_seed
 from .stack import (
-    LayerCoefficients,
     LayerKind,
     SimStack,
     StackDescription,

@@ -269,6 +269,13 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     return problems
 
 
+def _check_config(config: ExperimentConfig) -> None:
+    """Raise a :class:`ValidationError` listing every problem of ``config``."""
+    problems = validate_config(config)
+    if problems:
+        raise ValidationError("invalid experiment config:\n- " + "\n- ".join(problems))
+
+
 def _warn_training_budget(config: ExperimentConfig) -> None:
     if not _needs_downlink(config.kind):
         return
@@ -329,9 +336,7 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
     convergence experiments, per-iteration optimizer traces are written to
     ``trace_dir`` when given.
     """
-    problems = validate_config(config)
-    if problems:
-        raise ValidationError("invalid experiment config:\n- " + "\n- ".join(problems))
+    _check_config(config)
     _warn_training_budget(config)
 
     experiment = config.kind.value
@@ -553,10 +558,13 @@ def with_overrides(
 ) -> ExperimentConfig:
     """``config`` with the command-line overrides applied: master seed, trial
     count, path-loss exponent and reference distance, then :func:`apply_scale`.
-    ``None`` keeps the config's value."""
+    ``None`` keeps the config's value. The config is validated before it is
+    scaled, as scaling floors sizes and user counts and so would hide an
+    invalid one; a :class:`ValidationError` lists the problems."""
     link = {k: v for k, v in (("pathloss_exponent", eta), ("reference_distance_m", d0)) if v is not None}
     flags = {k: v for k, v in (("master_seed", seed), ("trial_count", trials)) if v is not None}
     config = dataclasses.replace(config, scenario=dataclasses.replace(config.scenario, **link), **flags)
+    _check_config(config)
     return config if scale is None else apply_scale(config, scale)
 
 

@@ -115,13 +115,14 @@ class PgdConfig:
 class PgdState:
     """Optimizer result: final coefficients, objective trace, and step log.
 
-    ``phases``/``amplitudes`` are keyed by cascade layer position (2..L).
-    ``accepted_steps[k, i]`` is the accepted step size of the i-th space-coded
-    layer at iteration k (NaN if the layer was frozen that iteration).
+    ``values`` holds each layer's synthesized tunable vector (its phases or
+    its amplitudes, as :meth:`SimStack.tunable`), keyed by cascade layer
+    position (2..L). ``accepted_steps[k, i]`` is the accepted step size of the
+    i-th space-coded layer at iteration k (NaN if the layer was frozen that
+    iteration).
     """
 
-    phases: dict[int, np.ndarray]
-    amplitudes: dict[int, np.ndarray]
+    values: dict[int, np.ndarray]
     objective_trace: np.ndarray
     iteration: int
     accepted_steps: np.ndarray
@@ -138,13 +139,9 @@ class PgdState:
         return objective_db(self.final_objective, self.target_norm_sq)
 
     def apply_to(self, stack: SimStack) -> None:
-        """Write the final coefficients into ``stack``: phases of phase-controlled
-        layers, amplitudes of amplitude-controlled ones."""
-        for layer in stack.space_layers:
-            if stack.kind_of(layer).phase_tunable:
-                stack.set_layer(layer, phases=self.phases[layer])
-            else:
-                stack.set_layer(layer, amplitudes=self.amplitudes[layer])
+        """Write the final tunable vectors into ``stack``."""
+        for layer, values in self.values.items():
+            stack.set_layer(layer, values)
 
 
 def objective_db(value: float, target_norm_sq: float) -> float:
@@ -235,9 +232,9 @@ def gradient(stack: SimStack, target: TargetMatrix, layer: int) -> np.ndarray:
     """
     _check_dimensions(stack, target)
     e_factor, b_factor = layer_factors(stack, layer)
-    coeff = stack.coefficients_of(layer)
-    amplitudes = coeff.amplitudes if coeff.kind.amplitude_tunable else None
-    return _layer_gradient(e_factor, b_factor, coeff.values, target.entries, amplitudes, stack.alpha_bounds[0])
+    amplitudes = stack.tunable(layer) if stack.kind_of(layer).amplitude_tunable else None
+    gamma = stack.gammas()[layer - 2]
+    return _layer_gradient(e_factor, b_factor, gamma, target.entries, amplitudes, stack.alpha_bounds[0])
 
 
 def project_amplitude(alpha: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
@@ -258,7 +255,8 @@ def run_pgd(
 
     Phases of phase-controlled layers are initialized i.i.d. uniform on
     [0, 2*pi) from ``config.seed``; amplitude-controlled layers start at
-    amplitude 1 with their fixed phases. Layers are swept in cascade order;
+    amplitude 1 clipped into ``stack.alpha_bounds``. Each layer's fixed
+    component is read from the stack. Layers are swept in cascade order;
     a layer whose line search cannot find a decreasing step within
     ``max_backtracks`` halvings is frozen for that iteration. The final
     coefficients are written back into the stack.
@@ -274,16 +272,13 @@ def run_pgd(
     mats = stack.tail_matrices()
     kinds = stack.kinds
     n_layers = len(kinds)
-    phases: list[np.ndarray] = []
-    amps: list[np.ndarray] = []
+    phases, amps = list(stack.phases), list(stack.amplitudes)
     for pos, kind in enumerate(kinds):
         size = mats[pos].shape[0]
         if kind.phase_tunable:
-            phases.append(rng.uniform(0.0, 2.0 * np.pi, size))
-            amps.append(np.full(size, stack.alpha_pc))
+            phases[pos] = rng.uniform(0.0, 2.0 * np.pi, size)
         else:
-            phases.append(stack.coefficients_of(pos + 2).phases.copy())
-            amps.append(project_amplitude(np.ones(size), bounds))
+            amps[pos] = project_amplitude(np.ones(size), bounds)
     gammas = [a * np.exp(1j * p) for a, p in zip(amps, phases)]
 
     f_current = _objective_value(mats, gammas, target.entries)
@@ -354,8 +349,7 @@ def run_pgd(
             break
 
     state = PgdState(
-        phases={pos + 2: phases[pos] for pos in range(n_layers)},
-        amplitudes={pos + 2: amps[pos] for pos in range(n_layers)},
+        values={pos + 2: (phases if kinds[pos].phase_tunable else amps)[pos] for pos in range(n_layers)},
         objective_trace=np.asarray(trace),
         iteration=len(trace) - 1,
         accepted_steps=np.asarray(step_log) if step_log else np.empty((0, n_layers)),
@@ -378,7 +372,7 @@ def constraint_deviation(stack: SimStack) -> float:
 
 def write_trace_csv(state: PgdState, path) -> None:
     """Dump the per-iteration objective and accepted step sizes to CSV, making its directory."""
-    layers = sorted(state.phases)
+    layers = sorted(state.values)
     header = ["iteration", "objective_linear", "objective_db"] + [f"step_layer_{l}" for l in layers]
     lines = [",".join(header)]
     for k, value in enumerate(state.objective_trace):

@@ -15,7 +15,7 @@ Layers are numbered by cascade position: 1 is the time-coded input layer and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -27,7 +27,6 @@ from .randomizer import TWO_PI
 
 __all__ = [
     "LayerKind",
-    "LayerCoefficients",
     "StackDescription",
     "SimStack",
     "build_stack",
@@ -58,43 +57,6 @@ class LayerKind(str, Enum):
     @property
     def amplitude_tunable(self) -> bool:
         return self is LayerKind.AMPLITUDE_CONTROLLED
-
-
-@dataclass(frozen=True)
-class LayerCoefficients:
-    """Per-cell transmission coefficients of one layer: ``amp * exp(j*phase)``."""
-
-    amplitudes: np.ndarray
-    phases: np.ndarray
-    kind: LayerKind
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=float)
-        pha = np.asarray(self.phases, dtype=float)
-        if amp.shape != pha.shape or amp.ndim != 1:
-            raise ConfigurationError(
-                f"amplitudes and phases must be equal-length vectors, got {amp.shape} and {pha.shape}"
-            )
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "phases", pha)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.amplitudes * np.exp(1j * self.phases)
-
-    def validate(self, alpha_pc: float, alpha_min: float, alpha_max: float) -> None:
-        """Check the amplitude invariant of this layer's kind."""
-        amp = self.amplitudes
-        if self.kind.phase_tunable:
-            if alpha_pc > 1.0 + 1e-12:
-                raise ConfigurationError(f"fixed amplitude of a phase-tunable layer must be <= 1, got {alpha_pc}")
-            if not np.allclose(amp, alpha_pc, rtol=0.0, atol=1e-12):
-                raise ConfigurationError(f"{self.kind.value} layer amplitudes must all equal {alpha_pc}")
-        else:
-            if np.any(amp < alpha_min - 1e-12) or np.any(amp > alpha_max + 1e-12):
-                raise ConfigurationError(
-                    f"{self.kind.value} layer amplitudes must lie in [{alpha_min}, {alpha_max}]"
-                )
 
 
 @dataclass(frozen=True)
@@ -219,11 +181,15 @@ class SimStack:
 
     The propagation matrices are fixed by the geometry and read-only; hops of
     equal geometry share one matrix, so a stack holds at most one Q x Q
-    matrix however many inner layers it has. Layer coefficients are the
-    mutable state; the time-coded input layer's slot phases are not stored
-    but passed to :func:`slot_response`. Composition results are cached and
-    invalidated on any coefficient update; composed matrices are handed out
-    read-only.
+    matrix however many inner layers it has. Layer ``pos`` (cascade layer
+    ``pos + 2``) has coefficients ``amplitudes[pos] * exp(j*phases[pos])``.
+    Each layer tunes one of the two vectors, its :meth:`tunable` one (the
+    phases of a phase-controlled layer, the amplitudes of an
+    amplitude-controlled one), and only :meth:`set_layer` replaces it; the
+    other is fixed by the hardware. The time-coded input layer's slot phases
+    are not stored but passed to :func:`slot_response`. Composition results
+    are cached and invalidated on any coefficient update; composed matrices
+    are handed out read-only.
     """
 
     def __init__(
@@ -234,7 +200,9 @@ class SimStack:
         output_grid: GridSpec,
         feed_matrix: np.ndarray,
         tail_matrices: list[np.ndarray],
-        coefficients: list[LayerCoefficients],
+        kinds: tuple[LayerKind, ...],
+        phases: list[np.ndarray],
+        amplitudes: list[np.ndarray],
     ):
         self.description = description
         self.input_grid = input_grid
@@ -242,8 +210,9 @@ class SimStack:
         self.output_grid = output_grid
         self.feed_matrix = feed_matrix
         self._tail = tail_matrices
-        self._coefficients = coefficients
-        self.kinds = tuple(c.kind for c in coefficients)
+        self.kinds = kinds
+        self.phases = phases
+        self.amplitudes = amplitudes
         self._space_block: np.ndarray | None = None
 
     # -- sizes ---------------------------------------------------------------
@@ -261,7 +230,7 @@ class SimStack:
 
     @property
     def layer_count(self) -> int:
-        return 1 + len(self._coefficients)
+        return 1 + len(self.kinds)
 
     @property
     def space_layers(self) -> range:
@@ -293,39 +262,32 @@ class SimStack:
     def kind_of(self, layer: int) -> LayerKind:
         return self.kinds[self._pos(layer)]
 
-    def coefficients_of(self, layer: int) -> LayerCoefficients:
-        return self._coefficients[self._pos(layer)]
+    def tunable(self, layer: int) -> np.ndarray:
+        """The layer's tunable vector: its phases or its amplitudes, by kind."""
+        pos = self._pos(layer)
+        return (self.phases if self.kinds[pos].phase_tunable else self.amplitudes)[pos]
 
     def gammas(self) -> list[np.ndarray]:
-        return [c.values for c in self._coefficients]
+        return [amp * np.exp(1j * pha) for amp, pha in zip(self.amplitudes, self.phases)]
 
     def tail_matrices(self) -> list[np.ndarray]:
         """Propagation matrices feeding layers 2..L (read-only)."""
         return list(self._tail)
 
-    def set_layer(self, layer: int, phases: np.ndarray | None = None, amplitudes: np.ndarray | None = None) -> None:
-        """Replace the tunable coefficients of one space-coded layer.
-
-        Only phases may be set on phase-controlled layers and only amplitudes
-        on amplitude-controlled ones; the other component is hardware-fixed.
-        """
+    def set_layer(self, layer: int, values: np.ndarray) -> None:
+        """Replace the :meth:`tunable` vector of one space-coded layer; amplitudes
+        must lie in ``alpha_bounds``."""
         pos = self._pos(layer)
-        current = self._coefficients[pos]
-        kind = current.kind
-        if phases is not None and not kind.phase_tunable:
-            raise ConfigurationError(f"layer {layer} is {kind.value}; its phases are fixed")
-        if amplitudes is not None and not kind.amplitude_tunable:
-            raise ConfigurationError(f"layer {layer} is {kind.value}; its amplitudes are fixed")
-        new = replace(
-            current,
-            phases=np.asarray(phases, dtype=float) if phases is not None else current.phases,
-            amplitudes=np.asarray(amplitudes, dtype=float) if amplitudes is not None else current.amplitudes,
-        )
-        amin, amax = self.alpha_bounds
-        new.validate(self.alpha_pc, amin, amax)
-        if new.amplitudes.shape[0] != current.amplitudes.shape[0]:
-            raise ConfigurationError(f"layer {layer} expects {current.amplitudes.shape[0]} coefficients")
-        self._coefficients[pos] = new
+        values = np.asarray(values, dtype=float)
+        size = self.phases[pos].shape[0]
+        if values.shape != (size,):
+            raise ConfigurationError(f"layer {layer} expects {size} coefficients, got shape {values.shape}")
+        kind = self.kinds[pos]
+        if kind.amplitude_tunable:
+            amin, amax = self.alpha_bounds
+            if np.any(values < amin - 1e-12) or np.any(values > amax + 1e-12):
+                raise ConfigurationError(f"{kind.value} layer amplitudes must lie in [{amin}, {amax}]")
+        (self.phases if kind.phase_tunable else self.amplitudes)[pos] = values
         self._space_block = None
 
     # The slot-index form of slot_response, for bench/tests/test_spans.py only:
@@ -342,9 +304,10 @@ class SimStack:
 def build_stack(description: StackDescription) -> SimStack:
     """Construct grids, propagation matrices, and initial coefficients.
 
-    Phase-controlled layers start at phase 0 with amplitude ``alpha_pc``;
-    amplitude-controlled layers start at amplitude 1 with their fixed, known
-    phases (zero unless ``ac_phase_seed`` is given).
+    Phase-controlled layers start at phase 0 with their fixed amplitude
+    ``alpha_pc``; amplitude-controlled layers start at amplitude 1 clipped
+    into ``alpha_bounds`` (the start ``pgd.run_pgd`` uses) with their fixed,
+    known phases (zero unless ``ac_phase_seed`` is given).
     """
     problems = description.validate()
     if problems:
@@ -378,15 +341,16 @@ def build_stack(description: StackDescription) -> SimStack:
     rng = None
     if description.ac_phase_seed is not None:
         rng = np.random.default_rng(description.ac_phase_seed)
-    coefficients = []
+    phases, amplitudes = [], []
     for kind, grid in zip(kinds, grids):
         size = grid.total
         if kind.amplitude_tunable:
-            phases = rng.uniform(0.0, TWO_PI, size) if rng is not None else np.zeros(size)
-            coefficients.append(LayerCoefficients(np.ones(size), phases, kind))
+            phases.append(rng.uniform(0.0, TWO_PI, size) if rng is not None else np.zeros(size))
+            amplitudes.append(np.clip(np.ones(size), *description.alpha_bounds))
         else:
-            coefficients.append(LayerCoefficients(np.full(size, description.alpha_pc), np.zeros(size), kind))
-    return SimStack(description, input_grid, inner_grid, output_grid, feed_matrix, tail, coefficients)
+            phases.append(np.zeros(size))
+            amplitudes.append(np.full(size, description.alpha_pc))
+    return SimStack(description, input_grid, inner_grid, output_grid, feed_matrix, tail, kinds, phases, amplitudes)
 
 
 def compose(matrices: list[np.ndarray], gammas: list[np.ndarray]) -> np.ndarray:

@@ -46,12 +46,8 @@ def randomize_stack(stack: ss.SimStack, seed: int) -> None:
     rng = np.random.default_rng(seed)
     amin, amax = stack.alpha_bounds
     for layer in stack.space_layers:
-        coeff = stack.coefficients_of(layer)
-        size = coeff.amplitudes.shape[0]
-        if coeff.kind.phase_tunable:
-            stack.set_layer(layer, phases=rng.uniform(0, 2 * np.pi, size))
-        else:
-            stack.set_layer(layer, amplitudes=rng.uniform(amin, min(amax, 2.0), size))
+        low, high = (0, 2 * np.pi) if stack.kind_of(layer).phase_tunable else (amin, min(amax, 2.0))
+        stack.set_layer(layer, rng.uniform(low, high, stack.tunable(layer).shape[0]))
 
 
 def compose_by_path_sum(stack: ss.SimStack) -> np.ndarray:
@@ -91,23 +87,15 @@ def objective_by_entry_sum(stack: ss.SimStack, target: ss.TargetMatrix) -> float
 
 def finite_difference_gradient(stack: ss.SimStack, target: ss.TargetMatrix, layer: int, step=1e-6) -> np.ndarray:
     """Central finite differences of the objective in the layer's tunable quantity."""
-    coeff = stack.coefficients_of(layer)
-    phase_layer = coeff.kind.phase_tunable
-    base = (coeff.phases if phase_layer else coeff.amplitudes).copy()
+    base = stack.tunable(layer).copy()
     grad = np.zeros_like(base)
     for i in range(base.size):
         for sign in (+1, -1):
             bumped = base.copy()
             bumped[i] += sign * step
-            if phase_layer:
-                stack.set_layer(layer, phases=bumped)
-            else:
-                stack.set_layer(layer, amplitudes=bumped)
+            stack.set_layer(layer, bumped)
             grad[i] += sign * ss.objective(stack, target)
-    if phase_layer:
-        stack.set_layer(layer, phases=base)
-    else:
-        stack.set_layer(layer, amplitudes=base)
+    stack.set_layer(layer, base)
     return grad / (2 * step)
 
 

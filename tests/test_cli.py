@@ -380,6 +380,32 @@ def test_non_square_inner_counts_rejected_under_scale(runner, tmp_path):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (small_run_config(stack={**SMALL_STACK, "input_shape": [-2, -2]}),
+         "input_shape counts must be at least 1, got [-2, -2]"),
+        (small_run_config(scenario={"user_count": 2, "slot_count": 2}),
+         "scenario: user_count (2) must be at least streams (4)"),
+        (small_run_config(sweep={"user_counts": [-5, 20]}),
+         "{'users': -5}: scenario: user_count must be at least 1"),
+    ],
+    ids=["negative-shape", "users-below-streams", "negative-swept-users"],
+)
+def test_invalid_config_rejected_before_scale(runner, tmp_path, config, message):
+    # --scale floors sizes and user counts, so scaling first ran each of these
+    # configs as a valid one and wrote its results.
+    config_file = tmp_path / "bad.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(config_file), "--scale", "0.5", "--out", str(out)])
+    assert result.exit_code != 0
+    assert message in result.output
+    assert result.output.count("Error:") == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
 def test_synth_matches_experiment_trial_zero(runner, tmp_path):
     stack = ss.StackDescription(
         input_shape=(2, 2), inner_shape=(3, 3), output_shape=(3, 3), ac_layers=1, pc_layers=2, upa_shape=(2, 2)

@@ -70,9 +70,8 @@ class TestLayerFactors:
     def test_factorization_reproduces_composed_columns(self):
         stack = small_stack(input_shape=(2, 1), inner_shape=(3, 1), output_shape=(2, 1), pc_layers=3, seed=4)
         g0 = ss.compose_space_block(stack)
-        for layer in stack.space_layers:
+        for layer, gamma in zip(stack.space_layers, stack.gammas()):
             e_factor, b_factor = ss.layer_factors(stack, layer)
-            gamma = stack.coefficients_of(layer).values
             for z in range(stack.input_size):
                 column = e_factor @ (b_factor[:, z] * gamma)
                 np.testing.assert_allclose(column, g0[:, z], rtol=1e-12)
@@ -233,12 +232,9 @@ class TestRunPgd:
         # The final objective is the last layer visit's value, which evaluates
         # the same product in the same order as the full composition.
         assert ss.objective(stack, target) == state.final_objective
-        for layer in stack.space_layers:
-            coeff = stack.coefficients_of(layer)
-            if coeff.kind.phase_tunable:
-                np.testing.assert_array_equal(coeff.phases, state.phases[layer])
-            else:
-                np.testing.assert_array_equal(coeff.amplitudes, state.amplitudes[layer])
+        assert list(state.values) == list(stack.space_layers)
+        for layer, values in state.values.items():
+            np.testing.assert_array_equal(stack.tunable(layer), values)
 
     def test_all_layers_frozen_is_not_fatal(self):
         stack = small_stack(seed=12)
@@ -309,7 +305,7 @@ class TestRunPgd:
         # The box is active: some amplitude sits on a bound.
         assert np.any(np.isin(seen[-1], (amin, amax)))
         for layer in ac:
-            np.testing.assert_array_equal(stack.coefficients_of(layer).amplitudes, state.amplitudes[layer])
+            np.testing.assert_array_equal(stack.tunable(layer), state.values[layer])
 
     @pytest.mark.parametrize(
         "overrides, trace, steps, frozen",

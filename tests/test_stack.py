@@ -180,20 +180,57 @@ class TestCompose:
         stack = small_stack(seed=0)
         before = ss.compose_space_block(stack)
         layer = stack.layer_count  # terminal, phase-controlled
-        stack.set_layer(layer, phases=np.zeros(stack.output_size))
+        stack.set_layer(layer, np.zeros(stack.output_size))
         after = ss.compose_space_block(stack)
         assert not np.array_equal(before, after)
 
     def test_set_layer_guards(self):
         stack = small_stack()
-        with pytest.raises(ss.ConfigurationError):
-            stack.set_layer(2, phases=np.zeros(stack.inner_size))  # layer 2 is amplitude-controlled
-        with pytest.raises(ss.ConfigurationError):
-            stack.set_layer(3, amplitudes=np.ones(stack.inner_size))  # layer 3 is phase-controlled
-        with pytest.raises(ss.ConfigurationError):
-            stack.set_layer(2, amplitudes=np.full(stack.inner_size, 100.0))  # outside bounds
+        with pytest.raises(ss.ConfigurationError, match="amplitudes must lie in"):
+            stack.set_layer(2, np.full(stack.inner_size, 100.0))  # layer 2 is amplitude-controlled
+        with pytest.raises(ss.ConfigurationError, match="layer 3 expects 4 coefficients"):
+            stack.set_layer(3, np.zeros(stack.inner_size + 1))
         with pytest.raises(IndexError):
-            stack.set_layer(1)
+            stack.set_layer(1, np.zeros(stack.input_size))
+
+    def test_set_layer_moves_only_the_tunable_vector(self):
+        # The tunable vector is the phases of a phase-controlled layer and the
+        # amplitudes of an amplitude-controlled one; the other stays as built.
+        desc = ss.StackDescription(
+            input_shape=(2, 1), inner_shape=(2, 2), output_shape=(2, 1), ac_layers=2, pc_layers=2,
+            upa_shape=(1, 1), ac_phase_seed=5,
+        )
+        stack, built = ss.build_stack(desc), ss.build_stack(desc)
+        assert np.all(built.phases[0] != 0)  # nonzero fixed AC phases
+        rng = np.random.default_rng(2)
+        for layer in stack.space_layers:
+            stack.set_layer(layer, rng.uniform(0.2, 1.5, stack.tunable(layer).shape[0]))
+        for pos, kind in enumerate(stack.kinds):
+            if kind.phase_tunable:
+                np.testing.assert_array_equal(stack.amplitudes[pos], built.amplitudes[pos])
+                np.testing.assert_array_equal(stack.amplitudes[pos], desc.alpha_pc)
+                assert not np.array_equal(stack.phases[pos], built.phases[pos])
+            else:
+                np.testing.assert_array_equal(stack.phases[pos], built.phases[pos])
+                assert not np.array_equal(stack.amplitudes[pos], built.amplitudes[pos])
+
+    @pytest.mark.parametrize("box_db", [(2.0, 10.0), (-10.0, -2.0)], ids=["above-1", "below-1"])
+    def test_built_amplitudes_lie_in_the_box(self, box_db):
+        # Amplitude-controlled layers start at 1 clipped into the box, so a
+        # fresh stack accepts its own coefficients back.
+        desc = ss.StackDescription(
+            input_shape=(2, 1), inner_shape=(2, 2), output_shape=(2, 1), ac_layers=2, pc_layers=1,
+            upa_shape=(1, 1), alpha_min_db=box_db[0], alpha_max_db=box_db[1], ac_phase_seed=1,
+        )
+        stack = ss.build_stack(desc)
+        amin, amax = stack.alpha_bounds
+        for layer in stack.space_layers:
+            if stack.kind_of(layer).amplitude_tunable:
+                np.testing.assert_array_equal(stack.tunable(layer), amin if amin > 1 else amax)
+        before = ss.compose_space_block(stack).copy()
+        for layer in stack.space_layers:
+            stack.set_layer(layer, stack.tunable(layer))
+        np.testing.assert_array_equal(ss.compose_space_block(stack), before)
 
 
 class TestSlotResponse:

@@ -8,11 +8,12 @@ Each tree is a checkout of this repository whose package is imported from
 the same time, each as a subprocess with ``OPENBLAS_NUM_THREADS=1`` so that
 BLAS threading cannot move a last bit. They write to ``OUT_DIR/parent/<name>``
 and ``OUT_DIR/change/<name>``, and ``compare_outputs.py`` (next to this
-script) compares each pair. The nine commands are the four presets, ``run``
+script) compares each pair. The ten commands are the four presets, ``run``
 on ``DENSE_CELL_CONFIG`` from CHANGE_TREE's ``bench/workloads.py``, ``run``
 on ``BASE_POINT`` (no swept axis), and ``synth`` on the bare-stack configs
 ``BARE_SYNTH`` (the default amplitude range), ``BARE_SYNTH_RANGE`` (a narrow
-one) and ``BARE_SYNTH_CENTERED`` (grids aligned by their centers); the
+one), ``BARE_SYNTH_CENTERED`` (grids aligned by their centers) and
+``BARE_SYNTH_AC_PHASES`` (nonzero fixed AC phases, a range above 1); the
 configs are written to OUT_DIR. The
 exit status is 0 only when every command succeeded and every output record
 is identical. Uses the standard library only.
@@ -69,6 +70,23 @@ BARE_SYNTH_CENTERED = {
     "master_seed": 5,
 }
 
+# Q=25, two amplitude-controlled layers with nonzero fixed phases, held to a
+# 2..10 dB range that excludes the amplitude 1 they start from.
+BARE_SYNTH_AC_PHASES = {
+    "stack": {
+        "input_shape": [3, 3],
+        "inner_shape": [5, 5],
+        "output_shape": [3, 3],
+        "ac_layers": 2,
+        "pc_layers": 2,
+        "ac_phase_seed": 3,
+        "alpha_min_db": 2.0,
+        "alpha_max_db": 10.0,
+    },
+    "pgd": {"max_iterations": 200},
+    "master_seed": 6,
+}
+
 # One downlink experiment with no swept axis, so it runs the config's own
 # stack and scenario: Q=36, 1 AC + 3 PC layers, 30 users, 2 slots, 2 trials.
 BASE_POINT = {
@@ -82,7 +100,8 @@ BASE_POINT = {
 }
 
 # name -> CLI arguments; "{dense_cell}", "{base_point}", "{bare_synth}",
-# "{bare_synth_range}" and "{bare_synth_centered}" stand for the config files.
+# "{bare_synth_range}", "{bare_synth_centered}" and "{bare_synth_ac_phases}"
+# stand for the config files.
 BATTERY = {
     "fig3": ["fig3", "--seed", "1", "--trials", "1", "--scale", "0.25"],
     "fig4": ["fig4", "--trials", "1", "--scale", "0.3"],
@@ -93,6 +112,7 @@ BATTERY = {
     "synth": ["synth", "{bare_synth}"],
     "synth-range": ["synth", "{bare_synth_range}"],
     "synth-centered": ["synth", "{bare_synth_centered}"],
+    "synth-ac-phases": ["synth", "{bare_synth_ac_phases}"],
 }
 
 
@@ -123,6 +143,7 @@ def main(argv: list[str]) -> int:
         "bare_synth": BARE_SYNTH,
         "bare_synth_range": BARE_SYNTH_RANGE,
         "bare_synth_centered": BARE_SYNTH_CENTERED,
+        "bare_synth_ac_phases": BARE_SYNTH_AC_PHASES,
     }
     paths = {}
     for key, config in configs.items():
