@@ -9,7 +9,6 @@ overhead) against a full-feedback baseline via Monte Carlo simulation.
 from .downlink import (
     UNSERVED,
     DownlinkScenario,
-    FairnessVariant,
     OverheadCounts,
     SlotScheduleResult,
     Users,

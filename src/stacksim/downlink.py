@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "DownlinkScenario",
     "Users",
     "SlotScheduleResult",
-    "FairnessVariant",
     "OverheadCounts",
     "drop_users",
     "effective_channels",
@@ -130,11 +128,6 @@ class SlotScheduleResult:
     beam_rates: np.ndarray  # (streams,) float, 0 where unserved
 
 
-class FairnessVariant(str, Enum):
-    PER_SLOT = "per-slot"
-    COHERENCE_WINDOW = "coherence"
-
-
 @dataclass(frozen=True)
 class OverheadCounts:
     """Training and feedback symbol counts per coherence interval."""
@@ -151,29 +144,24 @@ def pathloss(distance, wavelength: float, reference_distance: float, exponent: f
     return (wavelength / (4.0 * math.pi * reference_distance)) ** 2 * (reference_distance / distance) ** exponent
 
 
-def drop_users(
-    scenario: DownlinkScenario, seed: int, fading_seed: int | None = None, output_size: int | None = None
-) -> Users:
-    """Drop users uniformly by area on the annulus and draw their fading.
+def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_size: int) -> Users:
+    """Drop ``scenario.user_count`` users uniformly by area on the annulus and
+    draw their fading.
 
-    ``output_size`` is the fading vector length, the stack's output layer
-    size (defaults to the scenario's stream count). Positions and fading come
-    from independent child streams of ``seed`` unless a dedicated
-    ``fading_seed`` is supplied.
+    Positions come from the first child stream of ``seed``, fading from
+    ``fading_seed``, so the two draws are independent. ``output_size`` is the
+    fading vector length, the stack's output layer size.
     """
-    dim = output_size if output_size is not None else scenario.streams
-    pos_ss, fad_ss = np.random.SeedSequence(seed).spawn(2)
-    pos_rng = np.random.default_rng(pos_ss)
-    fad_rng = np.random.default_rng(fad_ss if fading_seed is None else fading_seed)
+    pos_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    fad_rng = np.random.default_rng(fading_seed)
 
     count = scenario.user_count
     r_in2 = scenario.inner_radius_m**2
     r_out2 = scenario.outer_radius_m**2
     radius = np.sqrt(r_in2 + (r_out2 - r_in2) * pos_rng.uniform(size=count))
     angle = pos_rng.uniform(0.0, 2.0 * math.pi, count)
-    fading = (fad_rng.standard_normal((count, dim)) + 1j * fad_rng.standard_normal((count, dim))) * math.sqrt(
-        0.5 / dim
-    )
+    shape = (count, output_size)
+    fading = (fad_rng.standard_normal(shape) + 1j * fad_rng.standard_normal(shape)) * math.sqrt(0.5 / output_size)
     distance = np.sqrt(radius**2 + scenario.bs_height_m**2)
     return Users(
         positions=np.column_stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(count)]),
@@ -252,21 +240,19 @@ def _jain(values: np.ndarray) -> float:
     return float(np.sum(values)) ** 2 / square_sum
 
 
-def fairness_index(per_user_rates: np.ndarray, variant: FairnessVariant = FairnessVariant.COHERENCE_WINDOW) -> float:
-    """Unnormalized Jain index of the served rates.
+def fairness_index(per_user_rates: np.ndarray) -> tuple[float, float]:
+    """Unnormalized Jain index of the served rates, as ``(per_slot, coherence)``.
 
-    PER_SLOT evaluates the index slot by slot and averages (a slot with no
-    service contributes 0); COHERENCE_WINDOW evaluates it once on the
+    ``per_slot`` evaluates the index slot by slot and averages (a slot with
+    no service contributes 0); ``coherence`` evaluates it once on the
     per-user rates averaged over the interval, which is the variant that
     exposes how many distinct users the interval served.
     """
     rates = np.atleast_2d(np.asarray(per_user_rates, dtype=float))
     if np.any(rates < 0):
         raise ValueError("rates must be non-negative")
-    variant = FairnessVariant(variant)
-    if variant is FairnessVariant.PER_SLOT:
-        return float(np.mean([_jain(rates[:, m]) for m in range(rates.shape[1])]))
-    return _jain(rates.mean(axis=1))
+    per_slot = float(np.mean([_jain(rates[:, m]) for m in range(rates.shape[1])]))
+    return per_slot, _jain(rates.mean(axis=1))
 
 
 def overhead(streams: int, slots: int, users: int, output_size: int, eta_feedback: float = 1.0) -> OverheadCounts:
@@ -284,20 +270,17 @@ def overhead(streams: int, slots: int, users: int, output_size: int, eta_feedbac
 
 
 def baseline_mimo(
-    users: Users,
-    streams: int,
-    noise_over_energy: float,
-    total_precoder_power: float = 1.0,
+    users: Users, streams: int, noise_over_energy: float, total_precoder_power: float
 ) -> SlotScheduleResult:
     """Full-feedback baseline: serve the ``streams`` strongest channels.
 
     Selects the users with the largest fading energy (ties toward the smaller
     index), precodes each with its channel divided by the channel's squared
     norm, and rescales the precoder set by one common factor so the total
-    transmit power matches ``total_precoder_power`` (the randomized scheme's
-    radiated-power ratio, for a like-for-like power budget). Channels are
-    block-constant, so the one result holds for every slot of the coherence
-    interval.
+    transmit power matches ``total_precoder_power``, which must be positive
+    (the harness passes the randomized scheme's radiated-power ratio, for a
+    like-for-like power budget). Channels are block-constant, so the one
+    result holds for every slot of the coherence interval.
     """
     if len(users) < streams:
         raise ConfigurationError(f"need at least {streams} users, got {len(users)}")

@@ -32,7 +32,6 @@ import numpy as np
 
 from .downlink import (
     DownlinkScenario,
-    FairnessVariant,
     Users,
     baseline_mimo,
     drop_users,
@@ -80,7 +79,7 @@ class ExperimentKind(str, Enum):
 @dataclass(frozen=True)
 class SweepAxes:
     """Swept parameter values, each axis a list of integers; ``None`` axes are
-    not swept. Values are checked on construction.
+    not swept. Values are checked on construction; no axis repeats a value.
 
     inner_counts: total cells of the inner layers (must be perfect squares).
     pc_layer_counts: number of phase-controlled layers.
@@ -101,6 +100,8 @@ class SweepAxes:
             if not isinstance(value, (list, tuple)) or not all(type(v) is int for v in value):
                 raise ConfigurationError(f"sweep axis {f.name} must be a list of integers, got {value!r}")
             object.__setattr__(self, f.name, tuple(value))
+            if repeated := [v for i, v in enumerate(value) if v in value[:i]]:
+                raise ConfigurationError(f"sweep axis {f.name} repeats {repeated[0]}")
         for cells in self.inner_counts or ():
             if cells < 0 or math.isqrt(cells) ** 2 != cells:
                 raise ConfigurationError(f"swept layer sizes must be perfect squares, got {cells}")
@@ -243,6 +244,8 @@ def validate_config(config: ExperimentConfig) -> list[str]:
                 found.append(
                     f"scenario slot_count ({scenario.slot_count}) must match the stack's slot_count ({desc.slot_count})"
                 )
+            if desc.pc_layers and desc.alpha_pc == 0:
+                found.append("alpha_pc must be positive in a downlink experiment: the stack would radiate no power")
         return found
 
     points = sweep_points(config)
@@ -327,7 +330,9 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
     builds its own stack, after the previous point's stack is released, so at
     most one stack is alive at a time; the point's trials share it, each
     writing its coefficients before use. Points whose stacks
-    differ at most in the slot count share one synthesis per trial.
+    differ at most in the slot count share one synthesis per trial. A
+    downlink experiment draws one user pool per trial up front, at the
+    largest swept user count; each point serves its first ``user_count`` users.
 
     Each trial runs with numpy's divide, overflow and invalid-operation
     errors raised. A trial that raises a numeric error, or whose metrics are
@@ -342,10 +347,20 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
     experiment = config.kind.value
     downlink = _needs_downlink(config.kind)
     points = sweep_points(config)
-    max_users = max(scenario.user_count for _, _, scenario in points)
+    # No sweep axis changes the output layer, so one pool per trial serves every point.
+    pool_scenario = dataclasses.replace(config.scenario, user_count=max(s.user_count for _, _, s in points))
+    output_size = math.prod(config.stack.output_shape)
+    pools = [
+        drop_users(
+            pool_scenario,
+            stream_seed(config.master_seed, "user-drop", trial),
+            stream_seed(config.master_seed, "channels", trial, output_size),
+            output_size,
+        )
+        for trial in range(config.trial_count if downlink else 0)
+    ]
 
     synth_cache: dict[tuple[str, int], PgdState] = {}
-    users_cache: dict[tuple[int, int], Users] = {}
     records: list[ResultRecord] = []
 
     for sweep_items, desc, scenario in points:
@@ -373,9 +388,8 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
                     metrics["power_constraint_deviation"] = constraint_deviation(stack)
 
                     if downlink:
-                        metrics.update(
-                            _downlink_metrics(config, stack, scenario, trial, synth_key, users_cache, max_users)
-                        )
+                        users = pools[trial][: scenario.user_count]
+                        metrics.update(_downlink_metrics(config, stack, scenario, trial, synth_key, users))
                 not_finite = [name for name, value in metrics.items() if not math.isfinite(value)]
                 if not_finite:
                     raise FloatingPointError(f"non-finite {', '.join(not_finite)}")
@@ -398,46 +412,27 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
 
 
 def _downlink_metrics(
-    config: ExperimentConfig,
-    stack: SimStack,
-    scenario: DownlinkScenario,
-    trial: int,
-    synth_key: str,
-    users_cache: dict[tuple[int, int], Users],
-    max_users: int,
+    config: ExperimentConfig, stack: SimStack, scenario: DownlinkScenario, trial: int, synth_key: str, users: Users
 ) -> dict[str, float]:
-    # The fading draw depends on the output size, so the pool is keyed by it too.
-    pool_key = (trial, stack.output_size)
-    if pool_key not in users_cache:
-        pool_scenario = dataclasses.replace(scenario, user_count=max_users)
-        users_cache[pool_key] = drop_users(
-            pool_scenario,
-            stream_seed(config.master_seed, "user-drop", trial),
-            fading_seed=stream_seed(config.master_seed, "channels", trial, stack.output_size),
-            output_size=stack.output_size,
-        )
-    users = users_cache[pool_key][: scenario.user_count]
-
     slots = scenario.slot_count
     seed = stream_seed(config.master_seed, "st-phases", trial, slots, synth_key)
     phases = draw_slot_phases(slots, stack.input_size, seed)
     noise = scenario.noise_over_energy
     results = [schedule_slot(effective_channels(users, slot_response(stack, row)), noise) for row in phases]
-    rates = per_user_rate_matrix(results, len(users))
     ratio = radiated_power_ratio(stack)
     if not math.isfinite(ratio):  # a numeric failure, not a bad power budget for the baseline
         raise FloatingPointError(f"radiated_power_ratio is {ratio}")
     # Channels are block-constant: one baseline result serves every slot.
-    base_results = [baseline_mimo(users, scenario.streams, noise, total_precoder_power=ratio)] * slots
-    base_rates = per_user_rate_matrix(base_results, len(users))
+    schemes = {"": results, "_baseline": [baseline_mimo(users, scenario.streams, noise, ratio)] * slots}
+    # Every scheme's sum rate, then its fairness: summary.json rows follow this order.
+    metrics = {f"ta_sum_rate{suffix}": ta_sum_rate(slot_results) for suffix, slot_results in schemes.items()}
+    for suffix, slot_results in schemes.items():
+        per_slot, coherence = fairness_index(per_user_rate_matrix(slot_results, len(users)))
+        metrics[f"fairness_per_slot{suffix}"] = per_slot
+        metrics[f"fairness_coherence{suffix}"] = coherence
     counts = overhead(scenario.streams, slots, len(users), stack.output_size, config.eta_feedback)
     return {
-        "ta_sum_rate": ta_sum_rate(results),
-        "ta_sum_rate_baseline": ta_sum_rate(base_results),
-        "fairness_per_slot": fairness_index(rates, FairnessVariant.PER_SLOT),
-        "fairness_coherence": fairness_index(rates, FairnessVariant.COHERENCE_WINDOW),
-        "fairness_per_slot_baseline": fairness_index(base_rates, FairnessVariant.PER_SLOT),
-        "fairness_coherence_baseline": fairness_index(base_rates, FairnessVariant.COHERENCE_WINDOW),
+        **metrics,
         "radiated_power_ratio": ratio,
         "overhead_train_partial": float(counts.train_partial),
         "overhead_train_full": float(counts.train_full),

@@ -178,6 +178,25 @@ def user_sinr(c_row: np.ndarray, n: int, noise_over_energy: float) -> float:
     return float(power[n] / (power.sum() - power[n] + noise_over_energy))
 
 
+def baseline_sinrs(users: ss.Users, streams: int, noise_over_energy: float, total: float):
+    """Reference full-feedback baseline by per-user loops: the ``streams`` users
+    of largest fading energy (ties toward the smaller index), each precoded
+    with h/|h|^2, the precoders scaled together to total power ``total``.
+    Returns the selected users and their SINRs
+    |h_k^H p_k|^2 pl_k / (sum_{j != k} |h_k^H p_j|^2 pl_k + noise)."""
+    energies = [float(np.sum(np.abs(h) ** 2)) for h in users.fading]
+    selected = sorted(range(len(users)), key=lambda u: (-energies[u], u))[:streams]
+    precoders = [users.fading[u] / energies[u] for u in selected]
+    scale = math.sqrt(total / sum(float(np.sum(np.abs(p) ** 2)) for p in precoders))
+    precoders = [scale * p for p in precoders]
+    sinrs = []
+    for k, u in enumerate(selected):
+        gains = [abs(np.vdot(users.fading[u], p)) ** 2 * users.pathloss[u] for p in precoders]
+        interference = sum(gain for j, gain in enumerate(gains) if j != k)
+        sinrs.append(gains[k] / (interference + noise_over_energy))
+    return selected, np.array(sinrs)
+
+
 def beam_sinr_cdf(x, streams: int, s: float):
     """CDF of one beam's SINR at one user, F(x) = 1 - e^{-x s} / (1 + x)^{N-1}
     (Sharif & Hassibi, IEEE Trans. IT 2005), for ``streams`` = N orthonormal

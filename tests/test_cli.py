@@ -357,6 +357,15 @@ def small_run_config(**changes):
             small_run_config(stack={**SMALL_STACK, "ac_phase_seed": -1}),
             "ac_phase_seed must be non-negative, got -1",
         ),
+        # With alpha_pc 0 the stack radiates nothing: the baseline raised on its
+        # zero power budget after the whole synthesis.
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "alpha_pc": 0.0}),
+            "alpha_pc must be positive in a downlink experiment",
+        ),
+        # A repeated sweep value ran its point twice and doubled its count.
+        ("run", small_run_config(sweep={"user_counts": [6, 6]}), "sweep axis user_counts repeats 6"),
     ],
 )
 def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, config, message):

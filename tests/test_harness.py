@@ -218,25 +218,42 @@ class TestRunExperiment:
         assert [desc for desc, _ in built] == [desc for _, desc, _ in harness.sweep_points(config)]
         assert slot_counts == [1, 2, 1, 2]
 
-    def test_user_pool_keyed_by_output_size(self):
-        config = tiny_downlink_config(trials=1)
-        scenario = config.scenario
-        users_cache = {}
-        drawn = {}
-        for output_shape in ((3, 3), (2, 2)):
-            stack = ss.build_stack(dataclasses.replace(config.stack, output_shape=output_shape))
-            key = harness._synth_key(stack.description)
-            harness._downlink_metrics(config, stack, scenario, 0, key, users_cache, 12)
-            drawn[stack.output_size] = ss.drop_users(
-                dataclasses.replace(scenario, user_count=12),
-                ss.stream_seed(config.master_seed, "user-drop", 0),
-                fading_seed=ss.stream_seed(config.master_seed, "channels", 0, stack.output_size),
-                output_size=stack.output_size,
+    def test_one_user_pool_per_trial(self, monkeypatch):
+        real_drop, real_metrics = harness.drop_users, harness._downlink_metrics
+        pools, served = [], []
+
+        def drawing(*args):
+            pools.append(real_drop(*args))
+            return pools[-1]
+
+        def serving(config, stack, scenario, trial, synth_key, users):
+            served.append((trial, scenario.user_count, users))
+            return real_metrics(config, stack, scenario, trial, synth_key, users)
+
+        monkeypatch.setattr(harness, "drop_users", drawing)
+        monkeypatch.setattr(harness, "_downlink_metrics", serving)
+        config = dataclasses.replace(
+            tiny_downlink_config(trials=2),
+            sweep=harness.SweepAxes(user_counts=(6, 12), slot_counts=(1, 2)),
+            pgd={"max_iterations": 5},
+        )
+        harness.run_experiment(config)
+        # One draw per trial, at the largest user count and the stack's output size.
+        assert [users.fading.shape for users in pools] == [(12, 9)] * 2
+        for trial, pool in enumerate(pools):
+            expected = ss.drop_users(
+                dataclasses.replace(config.scenario, user_count=12),
+                ss.stream_seed(config.master_seed, "user-drop", trial),
+                ss.stream_seed(config.master_seed, "channels", trial, 9),
+                9,
             )
-        assert set(users_cache) == {(0, 9), (0, 4)}
-        for (_, size), users in users_cache.items():
-            assert users.fading.shape == (12, size)
-            np.testing.assert_array_equal(users.fading, drawn[size].fading)
+            np.testing.assert_array_equal(pool.fading, expected.fading)
+            np.testing.assert_array_equal(pool.positions, expected.positions)
+        # Every point of every trial serves a prefix of its trial's pool.
+        assert sorted((trial, count) for trial, count, _ in served) == [(t, u) for t in (0, 1) for u in (6, 6, 12, 12)]
+        for trial, count, users in served:
+            np.testing.assert_array_equal(users.fading, pools[trial].fading[:count])
+            np.testing.assert_array_equal(users.pathloss, pools[trial].pathloss[:count])
 
     def test_failed_trial_recorded_and_run_continues(self, monkeypatch):
         config = tiny_downlink_config(trials=2)

@@ -8,14 +8,14 @@ Each tree is a checkout of this repository whose package is imported from
 the same time, each as a subprocess with ``OPENBLAS_NUM_THREADS=1`` so that
 BLAS threading cannot move a last bit. They write to ``OUT_DIR/parent/<name>``
 and ``OUT_DIR/change/<name>``, and ``compare_outputs.py`` (next to this
-script) compares each pair. The ten commands are the four presets, ``run``
+script) compares each pair. The eleven commands are the four presets, ``run``
 on ``DENSE_CELL_CONFIG`` from CHANGE_TREE's ``bench/workloads.py``, ``run``
-on ``BASE_POINT`` (no swept axis), and ``synth`` on the bare-stack configs
-``BARE_SYNTH`` (the default amplitude range), ``BARE_SYNTH_RANGE`` (a narrow
-one), ``BARE_SYNTH_CENTERED`` (grids aligned by their centers) and
-``BARE_SYNTH_AC_PHASES`` (nonzero fixed AC phases, a range above 1); the
-configs are written to OUT_DIR. The
-exit status is 0 only when every command succeeded and every output record
+on ``BASE_POINT`` (no swept axis), ``run`` on ``DOWNLINK_INNER`` (one
+trial's user pool serves points with different stacks), and ``synth`` on
+the bare-stack configs ``BARE_SYNTH`` (the default amplitude range),
+``BARE_SYNTH_RANGE`` (a narrow one), ``BARE_SYNTH_CENTERED`` (grids aligned
+by their centers) and ``BARE_SYNTH_AC_PHASES`` (nonzero fixed AC phases, a
+range above 1); the configs are written to OUT_DIR. The exit status is 0 only when every command succeeded and every output record
 is identical. Uses the standard library only.
 """
 
@@ -99,9 +99,22 @@ BASE_POINT = {
     "pgd": {"max_iterations": 200},
 }
 
-# name -> CLI arguments; "{dense_cell}", "{base_point}", "{bare_synth}",
-# "{bare_synth_range}", "{bare_synth_centered}" and "{bare_synth_ac_phases}"
-# stand for the config files.
+# Inner layers of 25 and 36 cells (1 AC + 3 PC) crossed with 8 and 16 users,
+# 2 slots, 2 trials: the only command in which one trial's user pool serves
+# points with different stacks.
+DOWNLINK_INNER = {
+    "kind": "sumrate_vs_users",
+    "stack": {"input_shape": [3, 3], "inner_shape": [6, 6], "output_shape": [3, 3], "ac_layers": 1, "pc_layers": 3},
+    "scenario": {"user_count": 16, "slot_count": 2, "streams": 4},
+    "sweep": {"inner_counts": [25, 36], "user_counts": [8, 16]},
+    "trial_count": 2,
+    "master_seed": 8,
+    "pgd": {"max_iterations": 30},
+}
+
+# name -> CLI arguments; "{dense_cell}", "{base_point}", "{downlink_inner}",
+# "{bare_synth}", "{bare_synth_range}", "{bare_synth_centered}" and
+# "{bare_synth_ac_phases}" stand for the config files.
 BATTERY = {
     "fig3": ["fig3", "--seed", "1", "--trials", "1", "--scale", "0.25"],
     "fig4": ["fig4", "--trials", "1", "--scale", "0.3"],
@@ -109,6 +122,7 @@ BATTERY = {
     "fig6": ["fig6", "--trials", "1", "--scale", "0.25"],
     "dense-cell": ["run", "{dense_cell}", "--seed", "0", "--trials", "1", "--scale", "0.5"],
     "base-point": ["run", "{base_point}"],
+    "downlink-inner": ["run", "{downlink_inner}"],
     "synth": ["synth", "{bare_synth}"],
     "synth-range": ["synth", "{bare_synth_range}"],
     "synth-centered": ["synth", "{bare_synth_centered}"],
@@ -140,6 +154,7 @@ def main(argv: list[str]) -> int:
     configs = {
         "dense_cell": dense_cell_config(trees["change"]),
         "base_point": BASE_POINT,
+        "downlink_inner": DOWNLINK_INNER,
         "bare_synth": BARE_SYNTH,
         "bare_synth_range": BARE_SYNTH_RANGE,
         "bare_synth_centered": BARE_SYNTH_CENTERED,
