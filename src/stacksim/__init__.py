@@ -53,7 +53,7 @@ from .pgd import (
     write_trace_csv,
 )
 from .propagation import SPEED_OF_LIGHT, KernelParams, build_propagation_matrix, rs_kernel
-from .randomizer import draw_slot_phases, stream_rng, stream_seed
+from .randomizer import draw_slot_phases, stream_seed
 from .stack import (
     LayerKind,
     SimStack,

@@ -49,12 +49,12 @@ def _preset_options(downlink: bool):
 
 def _execute(load, out: str | None, seed, trials, scale, eta=None, d0=None) -> None:
     """The presets' and ``run``'s one path: run ``load()`` with the flags applied and
-    write its results to ``out``, the config's ``output_path`` or ``results/<kind>``."""
+    write its results to ``out``, else ``results/<kind>``."""
     try:
         config = harness.with_overrides(load(), seed, trials, scale, eta, d0)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    out_dir = Path(out or config.output_path or Path("results") / config.kind.value)
+    out_dir = Path(out or Path("results") / config.kind.value)
     try:
         records = harness.run_experiment(config, trace_dir=out_dir)
     except ValidationError as exc:
@@ -102,8 +102,8 @@ def run(config_file, out, **flags) -> None:
 
 
 @dataclass(frozen=True)
-class _BareSynth:
-    """A ``synth`` config without ``kind``: a stack, its ``pgd`` block and the master seed."""
+class _SynthConfig:
+    """A ``synth`` config: a stack, its ``pgd`` block and the master seed."""
 
     stack: dict
     pgd: dict = field(default_factory=dict)
@@ -117,20 +117,15 @@ class _BareSynth:
 def synth(config_file, seed, out) -> None:
     """One synthesis run from a config file holding at least a "stack" object.
 
-    Writes the per-iteration trace CSV and a JSON summary of the outcome.
+    Besides the stack, the file may hold only a "pgd" block and a "master_seed";
+    a full experiment config is the input of run. Writes the per-iteration trace CSV and a JSON summary of the outcome.
     """
     try:
         data = json.loads(Path(config_file).read_text())
-        if isinstance(data, dict) and "kind" in data:
-            config = harness.config_from_dict(data)
-            stack_desc, pgd_overrides, master = config.stack, dict(config.pgd), config.master_seed
-        else:
-            bare = _BareSynth(**read_object("synth config", data, _BareSynth))
-            stack_desc = StackDescription.from_dict(bare.stack)
-            pgd_overrides = harness.check_pgd_block(bare.pgd)
-            master = int(bare.master_seed)
-        if seed is not None:
-            master = seed
+        config = _SynthConfig(**read_object("synth config", data, _SynthConfig))
+        stack_desc = StackDescription.from_dict(config.stack)
+        pgd_overrides = harness.check_pgd_block(config.pgd)
+        master = config.master_seed if seed is None else seed
         stack = build_stack(stack_desc)
         state = harness.synthesize(stack, pgd_overrides, master, trial=0)
     except ValueError as exc:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .propagation import SPEED_OF_LIGHT
 
 __all__ = [
     "UNSERVED",
@@ -44,7 +43,8 @@ UNSERVED = -1
 
 @dataclass(frozen=True)
 class DownlinkScenario:
-    """Cell geometry, link budget, and schedule shape of one simulation.
+    """Cell geometry, link budget, and schedule shape of one simulation. The
+    carrier is the stack's (:attr:`StackDescription.frequency_hz`).
 
     The path-loss exponent defaults to 3.2 (3GPP UMi NLOS at 28 GHz); the
     opportunistic scheme's gain over the full-feedback baseline hinges on how
@@ -56,7 +56,6 @@ class DownlinkScenario:
     bs_height_m: float = 10.0
     inner_radius_m: float = 10.0
     outer_radius_m: float = 50.0
-    carrier_hz: float = 28e9
     bandwidth_hz: float = 10e6
     tx_power_dbm: float = 15.0
     noise_psd_dbm_hz: float = -174.0
@@ -77,14 +76,10 @@ class DownlinkScenario:
             problems.append("slot_count must be at least 1")
         if self.streams < 1:
             problems.append("streams must be at least 1")
-        for name in ("bs_height_m", "carrier_hz", "bandwidth_hz", "pathloss_exponent", "reference_distance_m"):
+        for name in ("bs_height_m", "bandwidth_hz", "pathloss_exponent", "reference_distance_m"):
             if not getattr(self, name) > 0:
                 problems.append(f"{name} must be positive")
         return problems
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
 
     @property
     def noise_over_energy(self) -> float:
@@ -144,13 +139,14 @@ def pathloss(distance, wavelength: float, reference_distance: float, exponent: f
     return (wavelength / (4.0 * math.pi * reference_distance)) ** 2 * (reference_distance / distance) ** exponent
 
 
-def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_size: int) -> Users:
+def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_size: int, wavelength: float) -> Users:
     """Drop ``scenario.user_count`` users uniformly by area on the annulus and
     draw their fading.
 
     Positions come from the first child stream of ``seed``, fading from
     ``fading_seed``, so the two draws are independent. ``output_size`` is the
-    fading vector length, the stack's output layer size.
+    fading vector length, the stack's output layer size, and ``wavelength``
+    the stack's carrier wavelength, which sets the path loss.
     """
     pos_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     fad_rng = np.random.default_rng(fading_seed)
@@ -166,7 +162,7 @@ def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_s
     return Users(
         positions=np.column_stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(count)]),
         distance=distance,
-        pathloss=pathloss(distance, scenario.wavelength, scenario.reference_distance_m, scenario.pathloss_exponent),
+        pathloss=pathloss(distance, wavelength, scenario.reference_distance_m, scenario.pathloss_exponent),
         fading=fading,
     )
 

@@ -127,7 +127,6 @@ class ExperimentConfig:
     sweep: SweepAxes
     trial_count: int = 1
     master_seed: int = 0
-    output_path: str | None = None
     eta_feedback: float = 1.0
     pgd: dict = field(default_factory=dict)
 
@@ -150,7 +149,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "sweep": config.sweep.to_dict(),
         "trial_count": config.trial_count,
         "master_seed": config.master_seed,
-        "output_path": config.output_path,
         "eta_feedback": config.eta_feedback,
         "pgd": dict(config.pgd),
     }
@@ -165,7 +163,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         sweep=SweepAxes(**read_object("sweep", data["sweep"], SweepAxes)),
         trial_count=int(data.get("trial_count", 1)),
         master_seed=int(data.get("master_seed", 0)),
-        output_path=data.get("output_path"),
         eta_feedback=float(data.get("eta_feedback", 1.0)),
         pgd=check_pgd_block(data.get("pgd", {})),
     )
@@ -263,8 +260,6 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             problems.append(
                 f"scenario streams ({config.scenario.streams}) must match the stack's antenna count ({n_stack})"
             )
-        if config.scenario.carrier_hz != config.stack.frequency_hz:
-            problems.append("scenario carrier_hz must match the stack's frequency_hz")
     try:
         check_pgd_block(config.pgd)
     except ConfigurationError as exc:
@@ -356,6 +351,7 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
             stream_seed(config.master_seed, "user-drop", trial),
             stream_seed(config.master_seed, "channels", trial, output_size),
             output_size,
+            config.stack.wavelength,
         )
         for trial in range(config.trial_count if downlink else 0)
     ]

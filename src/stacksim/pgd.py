@@ -8,9 +8,10 @@ by projection onto the stack's amplitude range ``stack.alpha_bounds`` (its
 ``alpha_min_db``/``alpha_max_db``), the range the write-back accepts; the
 amplitude gradient is floored at that range's minimum. Both kinds share one
 backtracking line search under an Armijo test, ``f <= f0 - c*step*|g|^2`` for
-phases and ``f <= f0 + c*g.(alpha_new - alpha)`` for amplitudes, so the trace
-is non-increasing. An iteration's objective is its last layer visit's value;
-that layer's downstream factor is the identity, so nothing is recomposed.
+phases and ``f <= f0 + c*g.(alpha_new - alpha)`` for amplitudes, with
+``c = ARMIJO_CONSTANT``, so the trace is non-increasing. An iteration's
+objective is its last layer visit's value; that layer's downstream factor is
+the identity, so nothing is recomposed.
 
 For a layer with coefficients ``gamma`` the composed response factors as
 ``E @ diag(b_z) @ gamma`` per target column z, where ``E`` collects the
@@ -63,6 +64,9 @@ logger = logging.getLogger(__name__)
 # Rows or columns of a Q-sized array computed at once in the Q x Q products.
 _BLOCK = 64
 
+# The sufficient-decrease constant c of the line search's Armijo test.
+ARMIJO_CONSTANT = 1e-4
+
 
 def _blocks(size: int) -> list[slice]:
     """Slices covering ``range(size)`` in blocks of ``_BLOCK``; a last block of
@@ -86,7 +90,6 @@ class PgdConfig:
     max_iterations: int = 800
     relative_tolerance: float = 1e-8
     backtracking_contraction: float = 0.5
-    armijo_constant: float = 1e-4
     initial_step: float = 1.0
     step_growth: float = 4.0
     seed: int = 0
@@ -103,8 +106,6 @@ class PgdConfig:
             raise ValueError("initial_step must be positive")
         if self.max_backtracks < 0:
             raise ValueError("max_backtracks must be non-negative")
-        if not 0.0 < self.armijo_constant < 1.0:
-            raise ValueError("armijo_constant must lie in (0, 1)")
 
     def bounds_for(self, stack: SimStack | StackDescription) -> tuple[float, float]:
         """Amplitude range :func:`run_pgd` projects onto: the stack's."""
@@ -308,11 +309,11 @@ def run_pgd(
                 if phase_tunable:
                     cand = phases[pos] - step * grad
                     cand_gamma = amps[pos] * np.exp(1j * cand)
-                    bound = f_base - config.armijo_constant * step * grad_norm_sq
+                    bound = f_base - ARMIJO_CONSTANT * step * grad_norm_sq
                 else:
                     cand = project_amplitude(amps[pos] - step * grad, bounds)
                     cand_gamma = cand * np.exp(1j * phases[pos])
-                    bound = f_base + config.armijo_constant * float(grad @ (cand - amps[pos]))
+                    bound = f_base + ARMIJO_CONSTANT * float(grad @ (cand - amps[pos]))
                 f_new = _layer_objective(e_factor, b_factor, cand_gamma, target.entries)
                 if f_new <= bound:
                     (phases if phase_tunable else amps)[pos] = cand

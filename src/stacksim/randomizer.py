@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["draw_slot_phases", "stream_seed", "stream_rng"]
+__all__ = ["draw_slot_phases", "stream_seed"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,11 +29,6 @@ def stream_seed(master_seed: int, *parts) -> int:
         tag = b"s:" + part.encode() if isinstance(part, str) else b"i:" + str(int(part)).encode()
         h.update(b"\x00" + tag)
     return int.from_bytes(h.digest()[:8], "little")
-
-
-def stream_rng(master_seed: int, *parts) -> np.random.Generator:
-    """Generator seeded by :func:`stream_seed`."""
-    return np.random.default_rng(stream_seed(master_seed, *parts))
 
 
 def draw_slot_phases(slot_count: int, element_count: int, seed: int) -> np.ndarray:

@@ -162,10 +162,6 @@ class StackDescription:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "StackDescription":
-        return cls.from_dict(json.loads(text))
-
 
 def _layer_kinds(desc: StackDescription) -> tuple[LayerKind, ...]:
     """Kinds of the space-coded layers 2..L, amplitude-controlled ones first;

@@ -227,8 +227,8 @@ def small_run_config(**changes):
         # The amplitude range is the stack's alone; a pgd block cannot set one.
         ("run", small_run_config(pgd={"alpha_max": 100.0}), "unknown pgd fields: alpha_max"),
         ("synth", {"stack": SMALL_STACK, "pgd": {"alpha_min": 5.0}}, "unknown pgd fields: alpha_min"),
-        # A full experiment config: its pgd block is checked in full when read.
-        ("synth", small_run_config(pgd={"max_iterations": 0}), "pgd: max_iterations must be at least 1"),
+        # The pgd block is checked in full when read.
+        ("synth", {"stack": SMALL_STACK, "pgd": {"max_iterations": 0}}, "pgd: max_iterations must be at least 1"),
         # A value of the wrong JSON type; true is not an integer.
         (
             "run",
@@ -366,6 +366,18 @@ def small_run_config(**changes):
         ),
         # A repeated sweep value ran its point twice and doubled its count.
         ("run", small_run_config(sweep={"user_counts": [6, 6]}), "sweep axis user_counts repeats 6"),
+        # Fields that restated another value: the carrier is the stack's
+        # frequency_hz, outputs go to --out, and the Armijo constant is fixed.
+        (
+            "run",
+            small_run_config(scenario={"user_count": 6, "slot_count": 2, "carrier_hz": 28e9}),
+            "unknown scenario fields: carrier_hz",
+        ),
+        ("run", small_run_config(output_path="elsewhere"), "unknown config fields: output_path"),
+        ("run", small_run_config(pgd={"armijo_constant": 1e-4}), "unknown pgd fields: armijo_constant"),
+        ("synth", {"stack": SMALL_STACK, "pgd": {"armijo_constant": 1e-4}}, "unknown pgd fields: armijo_constant"),
+        # synth reads a stack, a pgd block and a master seed; a full experiment config is run's input.
+        ("synth", small_run_config(), "unknown synth config fields: kind, scenario, sweep, trial_count"),
     ],
 )
 def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, config, message):
@@ -376,6 +388,7 @@ def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, c
     assert message in result.output
     assert result.output.count("Error:") == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_square_inner_counts_rejected_under_scale(runner, tmp_path):

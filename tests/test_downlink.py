@@ -9,6 +9,9 @@ from stacksim.downlink import pathloss
 from conftest import baseline_sinrs, beam_sinr_cdf, exhaustive_schedule, user_sinr
 
 
+WAVELENGTH = ss.SPEED_OF_LIGHT / 28e9
+
+
 def scenario(**overrides):
     defaults = dict(user_count=100, slot_count=2, streams=4)
     defaults.update(overrides)
@@ -38,20 +41,21 @@ class TestScenario:
 class TestDropUsers:
     def test_distance_bounds(self):
         scen = scenario(user_count=2000)
-        users = ss.drop_users(scen, seed=1, fading_seed=11, output_size=9)
+        users = ss.drop_users(scen, seed=1, fading_seed=11, output_size=9, wavelength=WAVELENGTH)
         distances = users.distance
         assert np.all(distances >= math.sqrt(scen.inner_radius_m**2 + scen.bs_height_m**2) - 1e-12)
         assert np.all(distances <= math.sqrt(scen.outer_radius_m**2 + scen.bs_height_m**2) + 1e-12)
         assert distances.min() >= 14.142
 
     def test_fading_energy_normalized(self):
-        users = ss.drop_users(scenario(user_count=10_000), seed=2, fading_seed=12, output_size=9)
+        scen = scenario(user_count=10_000)
+        users = ss.drop_users(scen, seed=2, fading_seed=12, output_size=9, wavelength=WAVELENGTH)
         energy = np.mean(np.sum(np.abs(users.fading) ** 2, axis=1))
         assert 0.98 <= energy <= 1.02
 
     def test_planar_radius_cdf_uniform_by_area(self):
         scen = scenario(user_count=10_000)
-        users = ss.drop_users(scen, seed=3, fading_seed=13, output_size=4)
+        users = ss.drop_users(scen, seed=3, fading_seed=13, output_size=4, wavelength=WAVELENGTH)
         radii = np.linalg.norm(users.positions[:, :2], axis=1)
         transformed = (radii**2 - scen.inner_radius_m**2) / (scen.outer_radius_m**2 - scen.inner_radius_m**2)
         statistic = stats.kstest(transformed, "uniform").statistic
@@ -59,20 +63,20 @@ class TestDropUsers:
 
     def test_pathloss_formula(self):
         scen = scenario()
-        users = ss.drop_users(scen, seed=4, fading_seed=14, output_size=4)
+        users = ss.drop_users(scen, seed=4, fading_seed=14, output_size=4, wavelength=WAVELENGTH)
         for u in range(10):
-            expected = (scen.wavelength / (4 * math.pi * scen.reference_distance_m)) ** 2 * (
+            expected = (WAVELENGTH / (4 * math.pi * scen.reference_distance_m)) ** 2 * (
                 scen.reference_distance_m / users.distance[u]
             ) ** scen.pathloss_exponent
             assert users.pathloss[u] == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_and_fading_stream_separable(self):
         scen = scenario(user_count=50)
-        a = ss.drop_users(scen, seed=7, fading_seed=17, output_size=4)
-        b = ss.drop_users(scen, seed=7, fading_seed=17, output_size=4)
+        a = ss.drop_users(scen, seed=7, fading_seed=17, output_size=4, wavelength=WAVELENGTH)
+        b = ss.drop_users(scen, seed=7, fading_seed=17, output_size=4, wavelength=WAVELENGTH)
         np.testing.assert_array_equal(a.fading, b.fading)
         np.testing.assert_array_equal(a.positions, b.positions)
-        c = ss.drop_users(scen, seed=7, fading_seed=123, output_size=4)
+        c = ss.drop_users(scen, seed=7, fading_seed=123, output_size=4, wavelength=WAVELENGTH)
         np.testing.assert_array_equal(a.distance, c.distance)
         assert not np.array_equal(a.fading[0], c.fading[0])
         prefix = a[:10]

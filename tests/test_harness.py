@@ -66,7 +66,7 @@ class TestConfigIO:
             ({"stack": {**base["stack"], "terminal_kind": 1}}, "stack field terminal_kind must be a string, got int"),
             ({"stack": {**base["stack"], "centered_alignment": 0}}, "centered_alignment must be a boolean, got int"),
             ({"scenario": {**base["scenario"], "streams": None}}, "field streams must be an integer, got NoneType"),
-            ({"pgd": {"armijo_constant": "0.1"}}, "pgd field armijo_constant must be a number, got str"),
+            ({"pgd": {"step_growth": "2"}}, "pgd field step_growth must be a number, got str"),
             ({"pgd": []}, "config field pgd must be a JSON object, got list"),
         ):
             with pytest.raises(ss.ConfigurationError, match=re.escape(message)):
@@ -246,9 +246,11 @@ class TestRunExperiment:
                 ss.stream_seed(config.master_seed, "user-drop", trial),
                 ss.stream_seed(config.master_seed, "channels", trial, 9),
                 9,
+                config.stack.wavelength,
             )
             np.testing.assert_array_equal(pool.fading, expected.fading)
             np.testing.assert_array_equal(pool.positions, expected.positions)
+            np.testing.assert_array_equal(pool.pathloss, expected.pathloss)
         # Every point of every trial serves a prefix of its trial's pool.
         assert sorted((trial, count) for trial, count, _ in served) == [(t, u) for t in (0, 1) for u in (6, 6, 12, 12)]
         for trial, count, users in served:

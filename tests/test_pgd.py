@@ -250,10 +250,9 @@ class TestRunPgd:
             ({"initial_step": 0.0}, "initial_step must be positive"),
             ({"initial_step": -1.0}, "initial_step must be positive"),
             ({"max_backtracks": -1}, "max_backtracks must be non-negative"),
-            ({"armijo_constant": 0.0}, "armijo_constant must lie in (0, 1)"),
-            ({"armijo_constant": -1.0}, "armijo_constant must lie in (0, 1)"),
-            ({"armijo_constant": 1.0}, "armijo_constant must lie in (0, 1)"),
-            ({"armijo_constant": 2.0}, "armijo_constant must lie in (0, 1)"),
+            ({"backtracking_contraction": 0.0}, "backtracking_contraction must lie in (0, 1)"),
+            ({"backtracking_contraction": 1.0}, "backtracking_contraction must lie in (0, 1)"),
+            ({"step_growth": 0.5}, "step_growth must be at least 1"),
         ],
     )
     def test_invalid_step_settings_rejected(self, overrides, message):

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import stacksim as ss
-from stacksim import draw_slot_phases, stream_rng, stream_seed
+from stacksim import draw_slot_phases, stream_seed
 
 
 class TestSlotPhases:
@@ -80,6 +80,6 @@ class TestStreams:
         assert stream_seed(5, "1") != stream_seed(5, 1)
 
     def test_rng_reproducible(self):
-        a = stream_rng(9, "users", 4).standard_normal(10)
-        b = stream_rng(9, "users", 4).standard_normal(10)
+        a = np.random.default_rng(stream_seed(9, "users", 4)).standard_normal(10)
+        b = np.random.default_rng(stream_seed(9, "users", 4)).standard_normal(10)
         np.testing.assert_array_equal(a, b)

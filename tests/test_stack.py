@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -134,7 +135,7 @@ class TestBuild:
         desc = ss.StackDescription(
             input_shape=(3, 3), inner_shape=(8, 8), output_shape=(5, 5), ac_layers=4, pc_layers=8
         )
-        again = ss.StackDescription.from_json(desc.to_json())
+        again = ss.StackDescription.from_dict(json.loads(desc.to_json()))
         assert again == desc
         with pytest.raises(ss.ConfigurationError, match="unknown stack fields: extra"):
             ss.StackDescription.from_dict({**desc.to_dict(), "extra": 1})
