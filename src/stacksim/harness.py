@@ -568,8 +568,11 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
 
     Grid sides scale with sqrt(factor) (element counts roughly with factor),
     floored so the boundary layers still cover the antenna array and the
-    inner layers still cover the boundary layers. Only downward scaling is
-    supported.
+    inner layers still cover the boundary layers. A downlink config's output
+    sides are also floored at ceil(sqrt(streams * slots)) for its largest
+    slot count, so the partial-feedback training stays within its budget
+    (see :func:`overhead`), but never above their unscaled values. Only
+    downward scaling is supported.
     """
     if factor == 1.0:
         return config
@@ -578,7 +581,11 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
     stack = config.stack
     n_side = max(stack.upa_shape)
     input_shape = tuple(_scale_side(s, factor, n_side) for s in stack.input_shape)
-    output_shape = tuple(_scale_side(s, factor, n_side) for s in stack.output_shape)
+    budget_side = 0
+    if _needs_downlink(config.kind):
+        slots = max(scenario.slot_count for _, _, scenario in sweep_points(config))
+        budget_side = math.ceil(math.sqrt(config.scenario.streams * slots))
+    output_shape = tuple(_scale_side(s, factor, max(n_side, min(s, budget_side))) for s in stack.output_shape)
     boundary_side = max(*input_shape, *output_shape)
     inner_shape = tuple(_scale_side(s, factor, boundary_side) for s in stack.inner_shape)
     stack = dataclasses.replace(stack, input_shape=input_shape, inner_shape=inner_shape, output_shape=output_shape)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 import weakref
 from pathlib import Path
 
@@ -402,11 +403,28 @@ class TestPresetsAndScale:
         config = harness.with_overrides(harness.PRESETS["fig5"], scale=0.25)
         assert config.stack.inner_shape == (12, 12)
         assert config.stack.input_shape == (5, 5)
-        assert config.stack.output_shape == (2, 2)
+        # The output layer keeps the V = 9 cells that training M = 2 slots of N = 4 streams needs.
+        assert config.stack.output_shape == (3, 3)
         assert min(config.sweep.user_counts) >= config.scenario.streams
         assert harness.run_experiment  # config validates below
         problems = harness.validate_config(config)
         assert problems == []
+
+    def test_scaled_downlink_presets_keep_the_training_budget(self):
+        # --scale 0.25 shrank the 3x3 output layer to 2x2, so fig5 (M = 2 slots,
+        # N = 4 streams) warned that training cost more than full acquisition.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            harness._warn_training_budget(harness.with_overrides(harness.PRESETS["fig5"], scale=0.25))
+        # fig6 warns for M = 3 only, as its full-size preset does: V = 9 is the unscaled layer.
+        for scale in (0.25, 1.0):
+            with pytest.warns(UserWarning) as caught:
+                harness._warn_training_budget(harness.with_overrides(harness.PRESETS["fig6"], scale=scale))
+            assert [str(w.message).split(";")[0] for w in caught] == [
+                "slot count 3 exceeds the training-overhead budget (9/4)"
+            ]
+        # The synthesis presets have no slots to train and scale as before.
+        assert harness.with_overrides(harness.PRESETS["fig3"], scale=0.25).stack.output_shape == (3, 3)
 
     def test_overrides_apply_given_values_only(self):
         base = harness.PRESETS["fig6"]
