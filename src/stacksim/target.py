@@ -59,6 +59,15 @@ def generate_target(
     A draw whose Gram matrix is numerically rank-deficient (below
     ``min(input_size, output_size)`` eigenvalues above the relative floor) is
     redrawn with an incremented seed, at most three times.
+
+    The BLAS thread count enters here, through the eigenvectors of ``eigh``;
+    the Gram matrix and its eigenvalues do not depend on it. On numpy 2.4
+    with OpenBLAS 0.3.31 (2 cores), the target's last bits (relative
+    difference up to 6e-16) differed between ``OPENBLAS_NUM_THREADS=1`` and 2
+    for 8 of 8 seeds at the fig5 size (input_size 100, output_size 9) and for
+    none at input_size 9. Given one target, 60 ``run_pgd`` iterations on the
+    fig5 stack were bit-identical on one and two threads, so this draw is
+    where fig5's columns pick up their thread sensitivity.
     """
     if input_size < 1 or output_size < 1:
         raise ValueError("input_size and output_size must be at least 1")
