@@ -118,7 +118,8 @@ def synth(config_file, seed, out) -> None:
     """One synthesis run from a config file holding at least a "stack" object.
 
     Besides the stack, the file may hold only a "pgd" block and a "master_seed";
-    a full experiment config is the input of run. Writes the per-iteration trace CSV and a JSON summary of the outcome.
+    a full experiment config is the input of run. Writes the per-iteration
+    trace CSV and a JSON summary of the outcome.
     """
     try:
         data = json.loads(Path(config_file).read_text())
