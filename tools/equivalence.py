@@ -8,10 +8,12 @@ Each tree is a checkout of this repository whose package is imported from
 the same time, each as a subprocess with ``OPENBLAS_NUM_THREADS=1`` so that
 BLAS threading cannot move a last bit. They write to ``OUT_DIR/parent/<name>``
 and ``OUT_DIR/change/<name>``, and ``compare_outputs.py`` (next to this
-script) compares each pair. The eleven commands are the four presets, ``run``
+script) compares each pair. The twelve commands are the four presets, ``run``
 on ``DENSE_CELL_CONFIG`` from CHANGE_TREE's ``bench/workloads.py``, ``run``
 on ``BASE_POINT`` (no swept axis), ``run`` on ``DOWNLINK_INNER`` (one
-trial's user pool serves points with different stacks), and ``synth`` on
+trial's user pool serves points with different stacks), ``run`` on
+``NON_SQUARE_SCALE`` under ``--scale`` (a non-square output layer that
+``--scale`` must keep within the training budget), and ``synth`` on
 the bare-stack configs ``BARE_SYNTH`` (the default amplitude range),
 ``BARE_SYNTH_RANGE`` (a narrow one), ``BARE_SYNTH_CENTERED`` (grids aligned
 by their centers) and ``BARE_SYNTH_AC_PHASES`` (nonzero fixed AC phases, a
@@ -112,9 +114,28 @@ DOWNLINK_INNER = {
     "pgd": {"max_iterations": 30},
 }
 
+# A 2x8 output layer (V=16) serving 4 streams in 3 slots, one trial of 20
+# iterations, run at --scale 0.25: the short side cannot shrink, so the long
+# side alone must keep V >= streams * slots = 12.
+NON_SQUARE_SCALE = {
+    "kind": "sumrate_vs_users",
+    "stack": {
+        "input_shape": [8, 8],
+        "inner_shape": [16, 16],
+        "output_shape": [2, 8],
+        "ac_layers": 1,
+        "pc_layers": 3,
+        "slot_count": 3,
+    },
+    "scenario": {"user_count": 40, "slot_count": 3, "streams": 4},
+    "sweep": {},
+    "master_seed": 3,
+    "pgd": {"max_iterations": 20},
+}
+
 # name -> CLI arguments; "{dense_cell}", "{base_point}", "{downlink_inner}",
-# "{bare_synth}", "{bare_synth_range}", "{bare_synth_centered}" and
-# "{bare_synth_ac_phases}" stand for the config files.
+# "{non_square_scale}", "{bare_synth}", "{bare_synth_range}",
+# "{bare_synth_centered}" and "{bare_synth_ac_phases}" stand for the config files.
 BATTERY = {
     "fig3": ["fig3", "--seed", "1", "--trials", "1", "--scale", "0.25"],
     "fig4": ["fig4", "--trials", "1", "--scale", "0.3"],
@@ -123,6 +144,7 @@ BATTERY = {
     "dense-cell": ["run", "{dense_cell}", "--seed", "0", "--trials", "1", "--scale", "0.5"],
     "base-point": ["run", "{base_point}"],
     "downlink-inner": ["run", "{downlink_inner}"],
+    "non-square-scale": ["run", "{non_square_scale}", "--scale", "0.25"],
     "synth": ["synth", "{bare_synth}"],
     "synth-range": ["synth", "{bare_synth_range}"],
     "synth-centered": ["synth", "{bare_synth_centered}"],
@@ -155,6 +177,7 @@ def main(argv: list[str]) -> int:
         "dense_cell": dense_cell_config(trees["change"]),
         "base_point": BASE_POINT,
         "downlink_inner": DOWNLINK_INNER,
+        "non_square_scale": NON_SQUARE_SCALE,
         "bare_synth": BARE_SYNTH,
         "bare_synth_range": BARE_SYNTH_RANGE,
         "bare_synth_centered": BARE_SYNTH_CENTERED,
