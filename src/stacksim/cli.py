@@ -124,7 +124,7 @@ def synth(config_file, seed, out) -> None:
     try:
         data = json.loads(Path(config_file).read_text())
         config = _SynthConfig(**read_object("synth config", data, _SynthConfig))
-        stack_desc = StackDescription.from_dict(config.stack)
+        stack_desc = StackDescription(**read_object("stack", config.stack, StackDescription))
         pgd_overrides = harness.check_pgd_block(config.pgd)
         master = config.master_seed if seed is None else seed
         stack = build_stack(stack_desc)

@@ -292,7 +292,5 @@ def baseline_mimo(
     scale = math.sqrt(total_precoder_power / float(np.sum(np.abs(precoders) ** 2)))
     precoders = scale * precoders
 
-    power = np.abs(effective_channels(chosen, precoders)) ** 2
-    signal = np.diag(power)
-    beam_sinrs = signal / (power.sum(axis=1) - signal + noise_over_energy)
+    beam_sinrs = np.diag(sinr_matrix(effective_channels(chosen, precoders), noise_over_energy))
     return SlotScheduleResult(beam_users=selected, beam_sinrs=beam_sinrs, beam_rates=np.log2(1.0 + beam_sinrs))

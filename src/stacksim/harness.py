@@ -158,7 +158,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     data = read_object("config", data, ExperimentConfig)
     return ExperimentConfig(
         kind=ExperimentKind(data["kind"]),
-        stack=StackDescription.from_dict(data["stack"]),
+        stack=StackDescription(**read_object("stack", data["stack"], StackDescription)),
         scenario=DownlinkScenario(**read_object("scenario", data["scenario"], DownlinkScenario)),
         sweep=SweepAxes(**read_object("sweep", data["sweep"], SweepAxes)),
         trial_count=int(data.get("trial_count", 1)),
@@ -293,7 +293,7 @@ def _warn_training_budget(config: ExperimentConfig) -> None:
 
 def _synth_key(desc: StackDescription) -> str:
     """Stack identity for seed derivation; slot count does not affect synthesis."""
-    return dataclasses.replace(desc, slot_count=1).to_json()
+    return json.dumps(dataclasses.replace(desc, slot_count=1).to_dict(), sort_keys=True)
 
 
 def synthesize(stack: SimStack, pgd_overrides: dict, master_seed: int, trial: int) -> PgdState:

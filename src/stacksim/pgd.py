@@ -107,6 +107,9 @@ class PgdConfig:
         if self.max_backtracks < 0:
             raise ValueError("max_backtracks must be non-negative")
 
+    # Kept only because bench/tracing.py calls it; the package reads
+    # stack.alpha_bounds. Delete with the benchmark change that mends that
+    # caller (ROADMAP item 1).
     def bounds_for(self, stack: SimStack | StackDescription) -> tuple[float, float]:
         """Amplitude range :func:`run_pgd` projects onto: the stack's."""
         return stack.alpha_bounds

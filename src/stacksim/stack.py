@@ -14,13 +14,13 @@ Layers are numbered by cascade position: 1 is the time-coded input layer and
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, read_object
+from .errors import ConfigurationError
 from .geometry import GridSpec
 from .propagation import SPEED_OF_LIGHT, KernelParams, build_propagation_matrix
 from .randomizer import TWO_PI
@@ -102,11 +102,6 @@ class StackDescription:
         return SPEED_OF_LIGHT / self.frequency_hz
 
     @property
-    def layer_count(self) -> int:
-        """Total cascade depth L (time-coded input layer plus space-coded layers)."""
-        return 1 + self.ac_layers + self.pc_layers
-
-    @property
     def alpha_bounds(self) -> tuple[float, float]:
         return (db_to_amplitude(self.alpha_min_db), db_to_amplitude(self.alpha_max_db))
 
@@ -155,13 +150,6 @@ class StackDescription:
             out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StackDescription":
-        return cls(**read_object("stack", data, cls))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _layer_kinds(desc: StackDescription) -> tuple[LayerKind, ...]:
     """Kinds of the space-coded layers 2..L, amplitude-controlled ones first;
@@ -173,7 +161,7 @@ def _layer_kinds(desc: StackDescription) -> tuple[LayerKind, ...]:
 
 
 class SimStack:
-    """A fully built stack: grids, propagation matrices, and layer coefficients.
+    """A fully built stack: its description, propagation matrices, and layer coefficients.
 
     The propagation matrices are fixed by the geometry and read-only; hops of
     equal geometry share one matrix, so a stack holds at most one Q x Q
@@ -191,9 +179,6 @@ class SimStack:
     def __init__(
         self,
         description: StackDescription,
-        input_grid: GridSpec,
-        inner_grid: GridSpec,
-        output_grid: GridSpec,
         feed_matrix: np.ndarray,
         tail_matrices: list[np.ndarray],
         kinds: tuple[LayerKind, ...],
@@ -201,9 +186,6 @@ class SimStack:
         amplitudes: list[np.ndarray],
     ):
         self.description = description
-        self.input_grid = input_grid
-        self.inner_grid = inner_grid
-        self.output_grid = output_grid
         self.feed_matrix = feed_matrix
         self._tail = tail_matrices
         self.kinds = kinds
@@ -214,15 +196,15 @@ class SimStack:
     # -- sizes ---------------------------------------------------------------
     @property
     def input_size(self) -> int:
-        return self.input_grid.total
+        return math.prod(self.description.input_shape)
 
     @property
     def inner_size(self) -> int:
-        return self.inner_grid.total
+        return math.prod(self.description.inner_shape)
 
     @property
     def output_size(self) -> int:
-        return self.output_grid.total
+        return math.prod(self.description.output_shape)
 
     @property
     def layer_count(self) -> int:
@@ -236,10 +218,6 @@ class SimStack:
     @property
     def beta(self) -> float:
         return self.description.beta
-
-    @property
-    def alpha_pc(self) -> float:
-        return self.description.alpha_pc
 
     @property
     def alpha_bounds(self) -> tuple[float, float]:
@@ -288,7 +266,7 @@ class SimStack:
 
     # The slot-index form of slot_response, for bench/tests/test_spans.py only:
     # the package passes phase rows and stores no slot phases. Delete with the
-    # benchmark change that mends that test (ROADMAP item 6).
+    # benchmark change that mends that test (ROADMAP item 1).
     @property
     def slot_count(self) -> int:
         return self.description.slot_count
@@ -311,9 +289,9 @@ def build_stack(description: StackDescription) -> SimStack:
     lam = description.wavelength
     spacing = description.element_spacing_wl * lam
     upa = GridSpec(*description.upa_shape, spacing)
-    input_grid = GridSpec(*description.input_shape, spacing)
-    inner_grid = GridSpec(*description.inner_shape, spacing)
-    output_grid = GridSpec(*description.output_shape, spacing)
+    input_layer = GridSpec(*description.input_shape, spacing)
+    inner_layer = GridSpec(*description.inner_shape, spacing)
+    output_layer = GridSpec(*description.output_shape, spacing)
 
     cell = description.element_spacing_wl**2  # the default element area
     feed_area = (cell if description.feed_element_area_wl2 is None else description.feed_element_area_wl2) * lam**2
@@ -323,13 +301,13 @@ def build_stack(description: StackDescription) -> SimStack:
     centered = description.centered_alignment
 
     kinds = _layer_kinds(description)
-    grids = [inner_grid] * (len(kinds) - 1) + [output_grid]
-    feed_matrix = build_propagation_matrix(upa, input_grid, feed_params, centered)
+    grids = [inner_layer] * (len(kinds) - 1) + [output_layer]
+    feed_matrix = build_propagation_matrix(upa, input_layer, feed_params, centered)
     # One read-only matrix per distinct (source, destination) grid pair: all
     # inner-to-inner hops share one, so the stack's size does not grow with depth.
     hops: dict[tuple[GridSpec, GridSpec], np.ndarray] = {}
     tail = []
-    for pair in zip([input_grid, *grids], grids):
+    for pair in zip([input_layer, *grids], grids):
         if pair not in hops:
             hops[pair] = build_propagation_matrix(*pair, layer_params, centered)
         tail.append(hops[pair])
@@ -346,7 +324,7 @@ def build_stack(description: StackDescription) -> SimStack:
         else:
             phases.append(np.zeros(size))
             amplitudes.append(np.full(size, description.alpha_pc))
-    return SimStack(description, input_grid, inner_grid, output_grid, feed_matrix, tail, kinds, phases, amplitudes)
+    return SimStack(description, feed_matrix, tail, kinds, phases, amplitudes)
 
 
 def compose(matrices: list[np.ndarray], gammas: list[np.ndarray]) -> np.ndarray:

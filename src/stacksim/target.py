@@ -34,14 +34,6 @@ class TargetMatrix:
     column_norm_sq: float
 
     @property
-    def output_size(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.entries.shape[1]
-
-    @property
     def norm_sq(self) -> float:
         """Squared Frobenius norm of the target."""
         return float(np.sum(np.abs(self.entries) ** 2))

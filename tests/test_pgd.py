@@ -223,7 +223,7 @@ class TestRunPgd:
                 if stack.kind_of(layer).amplitude_tunable:
                     assert np.all(amp >= amin - 1e-15) and np.all(amp <= amax + 1e-15)
                 else:
-                    np.testing.assert_allclose(amp, stack.alpha_pc, rtol=0, atol=1e-15)
+                    np.testing.assert_allclose(amp, stack.description.alpha_pc, rtol=0, atol=1e-15)
 
     def test_coefficients_written_back_to_stack(self):
         stack = small_stack(seed=9)

@@ -56,7 +56,10 @@ class TestBuild:
         assert not any(m.flags.writeable for m in tails)
         lam = desc.wavelength
         params = ss.KernelParams(lam, (0.5 * lam) ** 2, 0.5 * lam)
-        grids = [stack.input_grid] + [stack.inner_grid] * 4 + [stack.output_grid]
+        input_layer, inner_layer, output_layer = (
+            ss.GridSpec(*shape, 0.5 * lam) for shape in (desc.input_shape, desc.inner_shape, desc.output_shape)
+        )
+        grids = [input_layer] + [inner_layer] * 4 + [output_layer]
         for matrix, src, dst in zip(tails, grids[:-1], grids[1:], strict=True):
             np.testing.assert_array_equal(matrix, ss.build_propagation_matrix(src, dst, params, centered))
 
@@ -135,10 +138,11 @@ class TestBuild:
         desc = ss.StackDescription(
             input_shape=(3, 3), inner_shape=(8, 8), output_shape=(5, 5), ac_layers=4, pc_layers=8
         )
-        again = ss.StackDescription.from_dict(json.loads(desc.to_json()))
+        config = {"kind": "custom", "stack": desc.to_dict(), "scenario": {"user_count": 4}, "sweep": {}}
+        again = ss.config_from_dict(json.loads(json.dumps(config))).stack
         assert again == desc
         with pytest.raises(ss.ConfigurationError, match="unknown stack fields: extra"):
-            ss.StackDescription.from_dict({**desc.to_dict(), "extra": 1})
+            ss.config_from_dict({**config, "stack": {**desc.to_dict(), "extra": 1}})
 
 
 class TestCompose:
