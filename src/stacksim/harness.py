@@ -569,10 +569,11 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
     Grid sides scale with sqrt(factor) (element counts roughly with factor),
     floored so the boundary layers still cover the antenna array and the
     inner layers still cover the boundary layers. A downlink config's output
-    sides are also floored at ceil(sqrt(streams * slots)) for its largest
-    slot count, so the partial-feedback training stays within its budget
-    (see :func:`overhead`), but never above their unscaled values. Only
-    downward scaling is supported.
+    layer then grows, its shortest sides together and none above its
+    unscaled length, until the partial-feedback training of its largest slot
+    count is within budget (see :func:`overhead`): it keeps at least
+    min(unscaled cells, streams * slots) cells, and a square layer stays
+    square. Only downward scaling is supported.
     """
     if factor == 1.0:
         return config
@@ -581,11 +582,18 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
     stack = config.stack
     n_side = max(stack.upa_shape)
     input_shape = tuple(_scale_side(s, factor, n_side) for s in stack.input_shape)
-    budget_side = 0
+    output_shape = tuple(_scale_side(s, factor, n_side) for s in stack.output_shape)
     if _needs_downlink(config.kind):
+        streams = config.scenario.streams
         slots = max(scenario.slot_count for _, _, scenario in sweep_points(config))
-        budget_side = math.ceil(math.sqrt(config.scenario.streams * slots))
-    output_shape = tuple(_scale_side(s, factor, max(n_side, min(s, budget_side))) for s in stack.output_shape)
+        while not overhead(streams, slots, 1, math.prod(output_shape)).within_training_budget:
+            short = [s for s, full in zip(output_shape, stack.output_shape) if s < full]
+            if not short:
+                break
+            # The shortest sides grow together, so a square layer stays square.
+            output_shape = tuple(
+                s + 1 if s == min(short) and s < full else s for s, full in zip(output_shape, stack.output_shape)
+            )
     boundary_side = max(*input_shape, *output_shape)
     inner_shape = tuple(_scale_side(s, factor, boundary_side) for s in stack.inner_shape)
     stack = dataclasses.replace(stack, input_shape=input_shape, inner_shape=inner_shape, output_shape=output_shape)

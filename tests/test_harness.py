@@ -426,6 +426,30 @@ class TestPresetsAndScale:
         # The synthesis presets have no slots to train and scale as before.
         assert harness.with_overrides(harness.PRESETS["fig3"], scale=0.25).stack.output_shape == (3, 3)
 
+    def test_scaled_non_square_output_keeps_the_training_budget(self):
+        # A 2x8 output layer serving N = 4 streams in M = 3 slots scaled to 2x4:
+        # the side floor of ceil(sqrt(12)) = 4 cannot lift the short side, so
+        # V = 8 < 12 and the run warned. The long side now grows to keep V >= 12.
+        stack = ss.StackDescription(
+            input_shape=(8, 8), inner_shape=(16, 16), output_shape=(2, 8), ac_layers=1, pc_layers=3, slot_count=3
+        )
+        base = harness.ExperimentConfig(
+            kind=harness.ExperimentKind.SUMRATE_VS_USERS,
+            stack=stack,
+            scenario=ss.DownlinkScenario(user_count=40, slot_count=3, streams=4),
+            sweep=harness.SweepAxes(),
+        )
+        assert harness.validate_config(base) == []
+        config = harness.with_overrides(base, scale=0.25)
+        assert config.stack.output_shape == (2, 6)
+        assert harness.validate_config(config) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            harness._warn_training_budget(config)
+        # Below the budget at full size, the layer stops at its unscaled shape.
+        small = dataclasses.replace(base, stack=dataclasses.replace(stack, output_shape=(2, 5)))
+        assert harness.with_overrides(small, scale=0.25).stack.output_shape == (2, 5)
+
     def test_overrides_apply_given_values_only(self):
         base = harness.PRESETS["fig6"]
         config = harness.with_overrides(base, seed=3, d0=2.0)
