@@ -15,9 +15,6 @@ from .errors import ValidationError, read_object
 from .pgd import constraint_deviation, write_trace_csv
 from .stack import StackDescription, build_stack
 
-# Metrics whose medians the console prints; objective_db for the other kinds.
-_HEADLINES = {"sumrate_vs_users": ("ta_sum_rate",), "fairness_vs_users": ("fairness_per_slot", "fairness_coherence")}
-
 
 @click.group()
 def main() -> None:
@@ -63,7 +60,7 @@ def _execute(load, out: str | None, seed, trials, scale, eta=None, d0=None) -> N
     harness.write_summary_json(records, config, out_dir / "summary.json")
 
     summary = harness.summarize(records)
-    for headline in _HEADLINES.get(config.kind.value, ("objective_db",)):
+    for headline in config.kind.headlines:
         rows = [r for r in summary if r.get("metric") == headline]
         if rows:
             keys = [k for k, _ in records[0].sweep]
@@ -84,7 +81,7 @@ _PRESET_HELP = {
 
 def _add_preset(name: str) -> None:
     @main.command(name, help=_PRESET_HELP[name])
-    @_preset_options(downlink=harness._needs_downlink(harness.PRESETS[name].kind))
+    @_preset_options(downlink=harness.PRESETS[name].kind.downlink)
     def preset(out, **flags) -> None:
         _execute(lambda: harness.PRESETS[name], out, **flags)
 

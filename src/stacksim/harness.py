@@ -75,6 +75,17 @@ class ExperimentKind(str, Enum):
     FAIRNESS_VS_USERS = "fairness_vs_users"
     CUSTOM = "custom"
 
+    @property
+    def downlink(self) -> bool:
+        """Whether the kind serves users: every kind but the two synthesis sweeps."""
+        return self not in (ExperimentKind.SYNTH_SWEEP_LAYERS, ExperimentKind.SYNTH_CONVERGENCE)
+
+    @property
+    def headlines(self) -> tuple[str, ...]:
+        """Metrics whose medians the console prints."""
+        fairness = ("fairness_per_slot", "fairness_coherence")
+        return {"sumrate_vs_users": ("ta_sum_rate",), "fairness_vs_users": fairness}.get(self.value, ("objective_db",))
+
 
 @dataclass(frozen=True)
 class SweepAxes:
@@ -209,10 +220,6 @@ def sweep_points(config: ExperimentConfig) -> list[tuple[tuple, StackDescription
     return points
 
 
-def _needs_downlink(kind: ExperimentKind) -> bool:
-    return kind not in (ExperimentKind.SYNTH_SWEEP_LAYERS, ExperimentKind.SYNTH_CONVERGENCE)
-
-
 def validate_config(config: ExperimentConfig) -> list[str]:
     """Every problem of ``config``, each sweep point checked as it will run.
 
@@ -227,7 +234,7 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     for name, values in config.sweep.axes():
         if len(values) == 0:
             problems.append(f"swept axis {name} must be non-empty")
-    downlink = _needs_downlink(config.kind)
+    downlink = config.kind.downlink
     if not downlink:
         for name in ("user_counts", "slot_counts"):
             if getattr(config.sweep, name) is not None:
@@ -275,7 +282,7 @@ def _check_config(config: ExperimentConfig) -> None:
 
 
 def _warn_training_budget(config: ExperimentConfig) -> None:
-    if not _needs_downlink(config.kind):
+    if not config.kind.downlink:
         return
     v = config.stack.output_shape[0] * config.stack.output_shape[1]
     n = config.scenario.streams
@@ -340,7 +347,7 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
     _warn_training_budget(config)
 
     experiment = config.kind.value
-    downlink = _needs_downlink(config.kind)
+    downlink = config.kind.downlink
     points = sweep_points(config)
     # No sweep axis changes the output layer, so one pool per trial serves every point.
     pool_scenario = dataclasses.replace(config.scenario, user_count=max(s.user_count for _, _, s in points))
@@ -356,13 +363,16 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
         for trial in range(config.trial_count if downlink else 0)
     ]
 
-    synth_cache: dict[tuple[str, int], PgdState] = {}
+    cached_key, synth_cache = None, {}
     records: list[ResultRecord] = []
 
     for sweep_items, desc, scenario in points:
         stack = None  # release the previous point's stack before building this one
         stack = build_stack(desc)
         synth_key = _synth_key(desc)
+        if synth_key != cached_key:
+            # Points sharing a synthesis are consecutive: sweep_points puts the stack axes first.
+            cached_key, synth_cache = synth_key, {}
 
         for trial in range(config.trial_count):
             trial_seed = stream_seed(config.master_seed, "trial", trial)
@@ -370,10 +380,9 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
             metrics: dict[str, float] = {}
             try:
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    cache_key = (synth_key, trial)
-                    state = synth_cache.get(cache_key)
+                    state = synth_cache.get(trial)
                     if state is None:
-                        state = synth_cache[cache_key] = synthesize(stack, config.pgd, config.master_seed, trial)
+                        state = synth_cache[trial] = synthesize(stack, config.pgd, config.master_seed, trial)
                         if trace_dir is not None and config.kind is ExperimentKind.SYNTH_CONVERGENCE:
                             tag = "_".join(f"{k}{v}" for k, v in sweep_items) or "base"
                             write_trace_csv(state, Path(trace_dir) / f"trace_{tag}_trial{trial}.csv")
@@ -583,7 +592,7 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
     n_side = max(stack.upa_shape)
     input_shape = tuple(_scale_side(s, factor, n_side) for s in stack.input_shape)
     output_shape = tuple(_scale_side(s, factor, n_side) for s in stack.output_shape)
-    if _needs_downlink(config.kind):
+    if config.kind.downlink:
         streams = config.scenario.streams
         slots = max(scenario.slot_count for _, _, scenario in sweep_points(config))
         while not overhead(streams, slots, 1, math.prod(output_shape)).within_training_budget:
