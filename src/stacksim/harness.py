@@ -558,65 +558,59 @@ def with_overrides(
 ) -> ExperimentConfig:
     """``config`` with the command-line overrides applied: master seed, trial
     count, path-loss exponent and reference distance, then :func:`apply_scale`.
-    ``None`` keeps the config's value. The config is validated before it is
-    scaled, as scaling floors sizes and user counts and so would hide an
-    invalid one; a :class:`ValidationError` lists the problems."""
+    ``None`` keeps the config's value."""
     link = {k: v for k, v in (("pathloss_exponent", eta), ("reference_distance_m", d0)) if v is not None}
     flags = {k: v for k, v in (("master_seed", seed), ("trial_count", trials)) if v is not None}
     config = dataclasses.replace(config, scenario=dataclasses.replace(config.scenario, **link), **flags)
-    _check_config(config)
     return config if scale is None else apply_scale(config, scale)
 
 
-def _scale_side(side: int, factor: float, minimum: int) -> int:
-    return max(minimum, math.ceil(side * math.sqrt(factor)))
+def _grown(shape: tuple[int, ...], full: tuple[int, ...], ok) -> tuple[int, ...]:
+    """``shape`` with its shortest sides below ``full`` grown together, one cell
+    at a time, until ``ok(shape)`` holds or ``shape`` is ``full``."""
+    while not ok(shape) and shape != full:
+        short = min(s for s, f in zip(shape, full) if s < f)
+        shape = tuple(s + 1 if s == short and s < f else s for s, f in zip(shape, full))
+    return shape
 
 
 def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
     """Shrink layer sizes and user counts by ``factor`` for desk-scale runs.
 
-    Grid sides scale with sqrt(factor) (element counts roughly with factor),
-    floored so the boundary layers still cover the antenna array and the
-    inner layers still cover the boundary layers. A downlink config's output
-    layer then grows, its shortest sides together and none above its
-    unscaled length, until the partial-feedback training of its largest slot
-    count is within budget (see :func:`overhead`): it keeps at least
-    min(unscaled cells, streams * slots) cells, and a square layer stays
-    square. Only downward scaling is supported.
+    The config is validated first (a :class:`ValidationError` lists its problems),
+    as scaling would hide an invalid size or user count. Each layer side shrinks
+    to ceil(side * sqrt(factor)); then the layer's shortest sides grow together
+    until it meets the rule the unscaled config obeys, or is unscaled again: a
+    cell per antenna in a boundary layer, training within budget at the largest
+    slot count in a downlink output layer (see :func:`overhead`), and no inner
+    side, swept or not, shorter than the longest boundary side. So no side grows
+    past its unscaled length. Only downward scaling is supported.
     """
     if factor == 1.0:
         return config
     if not 0.0 < factor <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {factor}")
-    stack = config.stack
-    n_side = max(stack.upa_shape)
-    input_shape = tuple(_scale_side(s, factor, n_side) for s in stack.input_shape)
-    output_shape = tuple(_scale_side(s, factor, n_side) for s in stack.output_shape)
-    if config.kind.downlink:
-        streams = config.scenario.streams
-        slots = max(scenario.slot_count for _, _, scenario in sweep_points(config))
-        while not overhead(streams, slots, 1, math.prod(output_shape)).within_training_budget:
-            short = [s for s, full in zip(output_shape, stack.output_shape) if s < full]
-            if not short:
-                break
-            # The shortest sides grow together, so a square layer stays square.
-            output_shape = tuple(
-                s + 1 if s == min(short) and s < full else s for s, full in zip(output_shape, stack.output_shape)
-            )
-    boundary_side = max(*input_shape, *output_shape)
-    inner_shape = tuple(_scale_side(s, factor, boundary_side) for s in stack.inner_shape)
-    stack = dataclasses.replace(stack, input_shape=input_shape, inner_shape=inner_shape, output_shape=output_shape)
+    _check_config(config)
+    stack, sweep, streams = config.stack, config.sweep, config.scenario.streams
+    antennas = math.prod(stack.upa_shape)
+    slots = max(scenario.slot_count for _, _, scenario in sweep_points(config))
 
-    sweep = config.sweep
+    def scaled(full: tuple[int, ...], ok) -> tuple[int, ...]:
+        return _grown(tuple(math.ceil(s * math.sqrt(factor)) for s in full), full, ok)
+
+    def trains(shape: tuple[int, ...]) -> bool:
+        return not config.kind.downlink or overhead(streams, slots, 1, math.prod(shape)).within_training_budget
+
+    input_shape = scaled(stack.input_shape, lambda shape: math.prod(shape) >= antennas)
+    output_shape = scaled(stack.output_shape, lambda shape: math.prod(shape) >= antennas and trains(shape))
+    boundary_side = max(*input_shape, *output_shape)
+    fulls = [stack.inner_shape, *((math.isqrt(q),) * 2 for q in sweep.inner_counts or ())]
+    inner_shape, *swept = [scaled(full, lambda shape: min(shape) >= boundary_side) for full in fulls]
+    stack = dataclasses.replace(stack, input_shape=input_shape, inner_shape=inner_shape, output_shape=output_shape)
     if sweep.inner_counts is not None:
-        sides = [_scale_side(math.isqrt(q), factor, boundary_side) for q in sweep.inner_counts]
-        scaled = tuple(dict.fromkeys(s * s for s in sides))
-        sweep = dataclasses.replace(sweep, inner_counts=scaled)
+        sweep = dataclasses.replace(sweep, inner_counts=tuple(dict.fromkeys(math.prod(s) for s in swept)))
     if sweep.user_counts is not None:
-        users = tuple(dict.fromkeys(max(config.scenario.streams, round(u * factor)) for u in sweep.user_counts))
+        users = tuple(dict.fromkeys(max(streams, round(u * factor)) for u in sweep.user_counts))
         sweep = dataclasses.replace(sweep, user_counts=users)
-    scenario = dataclasses.replace(
-        config.scenario,
-        user_count=max(config.scenario.streams, round(config.scenario.user_count * factor)),
-    )
+    scenario = dataclasses.replace(config.scenario, user_count=max(streams, round(config.scenario.user_count * factor)))
     return dataclasses.replace(config, stack=stack, sweep=sweep, scenario=scenario)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import warnings
 import weakref
@@ -35,6 +36,41 @@ def tiny_downlink_config(trials=2, seed=11):
         master_seed=seed,
         pgd={"max_iterations": 40},
     )
+
+
+def random_valid_config(rng):
+    """A valid config of a random kind: a feed of up to 4x4 antennas, boundary
+    sides 1-12, inner sides 1-24, and random swept axes."""
+    kinds = list(harness.ExperimentKind)
+    while True:
+        kind = kinds[rng.integers(len(kinds))]
+        upa = tuple(int(v) for v in rng.integers(1, 5, size=2))
+        slots = int(rng.integers(1, 5))
+        stack = ss.StackDescription(
+            input_shape=tuple(rng.integers(1, 13, size=2)),
+            inner_shape=tuple(rng.integers(1, 25, size=2)),
+            output_shape=tuple(rng.integers(1, 13, size=2)),
+            ac_layers=1,
+            pc_layers=2,
+            upa_shape=upa,
+            slot_count=slots,
+        )
+        streams = upa[0] * upa[1]
+        sweep = {}
+        if rng.random() < 0.5:
+            sweep["inner_counts"] = sorted({int(side) ** 2 for side in rng.integers(1, 25, size=3)})
+        if kind.downlink and rng.random() < 0.5:
+            sweep["user_counts"] = sorted({streams + int(u) for u in rng.integers(0, 200, size=3)})
+        if kind.downlink and rng.random() < 0.5:
+            sweep["slot_counts"] = sorted({int(m) for m in rng.integers(1, 5, size=2)})
+        config = harness.ExperimentConfig(
+            kind=kind,
+            stack=stack,
+            scenario=ss.DownlinkScenario(user_count=streams + int(rng.integers(0, 200)), slot_count=slots, streams=streams),
+            sweep=harness.SweepAxes(**sweep),
+        )
+        if harness.validate_config(config) == []:
+            return config
 
 
 class TestConfigIO:
@@ -406,9 +442,54 @@ class TestPresetsAndScale:
         # The output layer keeps the V = 9 cells that training M = 2 slots of N = 4 streams needs.
         assert config.stack.output_shape == (3, 3)
         assert min(config.sweep.user_counts) >= config.scenario.streams
-        assert harness.run_experiment  # config validates below
-        problems = harness.validate_config(config)
-        assert problems == []
+        assert harness.validate_config(config) == []
+
+    def test_scale_keeps_every_config_valid_and_no_larger(self):
+        # Boundary sides were floored at the feed's longest side and inner sides
+        # at the longest boundary side, which made some side longer than its
+        # unscaled length in about half of these configs.
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            config = random_valid_config(rng)
+            factor = float(rng.uniform(0.05, 0.75))
+            scaled = harness.apply_scale(config, factor)
+            assert harness.validate_config(scaled) == [], (config, factor)
+            for name in ("input_shape", "inner_shape", "output_shape"):
+                full, small = getattr(config.stack, name), getattr(scaled.stack, name)
+                assert all(s <= f for s, f in zip(small, full)), (name, config, factor)
+            for q in config.sweep.inner_counts or ():
+                one = dataclasses.replace(config, sweep=dataclasses.replace(config.sweep, inner_counts=(q,)))
+                assert harness.apply_scale(one, factor).sweep.inner_counts[0] <= q, (config, factor)
+            if config.kind.downlink:
+                # Training within budget at full size stays within budget once scaled.
+                slots = max(config.sweep.slot_counts or (config.scenario.slot_count,))
+                streams = config.scenario.streams
+                budget = [ss.overhead(streams, slots, 1, math.prod(c.stack.output_shape)).within_training_budget
+                          for c in (config, scaled)]
+                assert budget[1] or not budget[0], (config, factor)
+
+    def test_scale_never_enlarges_a_stack_narrower_than_its_feed(self):
+        # With a 1x4 feed, each boundary side was floored at 4 and each inner
+        # side at the longest boundary side: this stack scaled to 4x4/4x4/4x4.
+        stack = ss.StackDescription(
+            input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=1, pc_layers=2,
+            upa_shape=(1, 4), slot_count=1,
+        )
+        config = harness.ExperimentConfig(
+            kind=harness.ExperimentKind.SUMRATE_VS_USERS,
+            stack=stack,
+            scenario=ss.DownlinkScenario(user_count=8, slot_count=1, streams=4),
+            sweep=harness.SweepAxes(),
+        )
+        scaled = harness.with_overrides(config, scale=0.25)
+        assert (scaled.stack.input_shape, scaled.stack.inner_shape, scaled.stack.output_shape) == ((2, 2),) * 3
+        assert harness.validate_config(scaled) == []
+
+    def test_scale_rejects_an_invalid_config(self):
+        # An empty swept axis reached max() over no sweep points and raised a bare ValueError.
+        config = dataclasses.replace(harness.PRESETS["fig5"], sweep=harness.SweepAxes(user_counts=()))
+        with pytest.raises(ss.ValidationError, match="swept axis users must be non-empty"):
+            harness.apply_scale(config, 0.25)
 
     def test_scaled_downlink_presets_keep_the_training_budget(self):
         # --scale 0.25 shrank the 3x3 output layer to 2x2, so fig5 (M = 2 slots,
