@@ -583,8 +583,8 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
     until it meets the rule the unscaled config obeys, or is unscaled again: a
     cell per antenna in a boundary layer, training within budget at the largest
     slot count in a downlink output layer (see :func:`overhead`), and no inner
-    side, swept or not, shorter than the longest boundary side. So no side grows
-    past its unscaled length. Only downward scaling is supported.
+    side, swept or not, shorter than the longest scaled boundary side. So no
+    side grows past its unscaled length. Only downward scaling is supported.
     """
     if factor == 1.0:
         return config
