@@ -23,7 +23,6 @@ from .downlink import (
     ta_sum_rate,
 )
 from .errors import ConfigurationError, ValidationError
-from .geometry import GridSpec
 from .harness import (
     PRESETS,
     ExperimentConfig,

@@ -166,17 +166,15 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """The config of a JSON object; :class:`ExperimentConfig` supplies the defaults."""
     data = read_object("config", data, ExperimentConfig)
-    return ExperimentConfig(
-        kind=ExperimentKind(data["kind"]),
-        stack=StackDescription(**read_object("stack", data["stack"], StackDescription)),
-        scenario=DownlinkScenario(**read_object("scenario", data["scenario"], DownlinkScenario)),
-        sweep=SweepAxes(**read_object("sweep", data["sweep"], SweepAxes)),
-        trial_count=int(data.get("trial_count", 1)),
-        master_seed=int(data.get("master_seed", 0)),
-        eta_feedback=float(data.get("eta_feedback", 1.0)),
-        pgd=check_pgd_block(data.get("pgd", {})),
-    )
+    data["kind"] = ExperimentKind(data["kind"])
+    data["stack"] = StackDescription(**read_object("stack", data["stack"], StackDescription))
+    data["scenario"] = DownlinkScenario(**read_object("scenario", data["scenario"], DownlinkScenario))
+    data["sweep"] = SweepAxes(**read_object("sweep", data["sweep"], SweepAxes))
+    if "pgd" in data:
+        data["pgd"] = check_pgd_block(data["pgd"])
+    return ExperimentConfig(**data)
 
 
 def check_pgd_block(block: dict) -> dict:

@@ -10,10 +10,12 @@ Rayleigh-Sommerfeld diffraction integral for an element of effective area
 with ``k0 = 2*pi/lambda0`` the free-space wavenumber and ``d`` the distance
 between the two elements.
 
-Both grids are uniform with one spacing, so ``d`` depends only on the in-plane
-offset between two elements. A propagation matrix evaluates the kernel once
-per distinct offset and gathers its entries from that table, so its build
-allocates no other array of the matrix's size.
+A grid is its ``(count_x, count_y)`` shape, its elements addressed by a
+row-major linear index, and the grids of a stack share one element spacing.
+So ``d`` depends only on the in-plane offset between two elements. A
+propagation matrix evaluates the kernel once per distinct offset and gathers
+its entries from that table, so its build allocates no other array of the
+matrix's size.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .geometry import GridSpec
 
 __all__ = ["SPEED_OF_LIGHT", "KernelParams", "rs_kernel", "build_propagation_matrix"]
 
@@ -70,37 +70,41 @@ def rs_kernel(d, params: KernelParams):
 
 
 def build_propagation_matrix(
-    src: GridSpec,
-    dst: GridSpec,
+    src: tuple[int, int],
+    dst: tuple[int, int],
+    spacing: float,
     params: KernelParams,
     centered: bool = False,
 ) -> np.ndarray:
-    """Complex ``dst.total x src.total`` matrix of per-element-pair gains.
+    """Complex ``prod(dst) x prod(src)`` matrix of per-element-pair gains.
 
-    Entry (r, c) is the kernel evaluated at the distance between destination
-    element ``r`` and source element ``c`` for planes ``params.separation``
-    apart. Grids are aligned by index (element (0, 0) of each grid coincides),
-    or by their centers when ``centered``; the test suite checks every entry
-    against a per-pair distance oracle (``pair_distance`` in ``tests/conftest.py``).
+    ``src`` and ``dst`` are grid shapes, both with element spacing ``spacing``
+    meters. Entry (r, c) is the kernel evaluated at the distance between
+    destination element ``r`` and source element ``c`` for planes
+    ``params.separation`` apart. Grids are aligned by index (element (0, 0) of
+    each grid coincides), or by their centers when ``centered``; the test suite
+    checks every entry against a per-pair distance oracle (``pair_distance`` in
+    ``tests/conftest.py``).
     """
-    if src.spacing != dst.spacing:
-        raise ConfigurationError(
-            f"source and destination grids must share a spacing, got {src.spacing} and {dst.spacing}"
-        )
+    if min(*src, *dst) < 1:
+        raise ValueError(f"grids must have at least one element per axis, got {src} and {dst}")
+    if not spacing > 0:
+        raise ValueError(f"grid spacing must be positive, got {spacing}")
+    (sx, sy), (dx, dy) = src, dst
     # Offsets dst - src along each axis, in index units, and the kernel on
     # every (x, y) offset pair, in the pair_distance oracle's operation order
     # (tests/conftest.py) so entries match it bit for bit.
-    ox = np.arange(1 - src.count_x, dst.count_x, dtype=float)
-    oy = np.arange(1 - src.count_y, dst.count_y, dtype=float)
+    ox = np.arange(1 - sx, dx, dtype=float)
+    oy = np.arange(1 - sy, dy, dtype=float)
     if centered:
-        ox += (src.count_x - dst.count_x) / 2.0
-        oy += (src.count_y - dst.count_y) / 2.0
-    d = (ox[:, None] ** 2 + oy**2) * src.spacing**2 + params.separation**2
+        ox += (sx - dx) / 2.0
+        oy += (sy - dy) / 2.0
+    d = (ox[:, None] ** 2 + oy**2) * spacing**2 + params.separation**2
     table = rs_kernel(np.sqrt(d), params)
     # Entry (r, c) reads the table at r's coordinates minus c's, shifted to
     # start at 0.
-    ix = np.arange(dst.count_x)[:, None] - np.arange(src.count_x) + src.count_x - 1
-    iy = np.arange(dst.count_y)[:, None] - np.arange(src.count_y) + src.count_y - 1
-    matrix = table[ix[:, None, :, None], iy[None, :, None, :]].reshape(dst.total, src.total)
+    ix = np.arange(dx)[:, None] - np.arange(sx) + sx - 1
+    iy = np.arange(dy)[:, None] - np.arange(sy) + sy - 1
+    matrix = table[ix[:, None, :, None], iy[None, :, None, :]].reshape(dx * dy, sx * sy)
     matrix.flags.writeable = False
     return matrix

@@ -21,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import GridSpec
 from .propagation import SPEED_OF_LIGHT, KernelParams, build_propagation_matrix
 from .randomizer import TWO_PI
 
@@ -63,8 +62,8 @@ class LayerKind(str, Enum):
 class StackDescription:
     """Serializable description of a stack; the canonical experiment config fragment.
 
-    Grid shapes are (count_x, count_y). Spacings and separations are given in
-    carrier wavelengths; element areas default to the spacing squared (one
+    Grid shapes are (count_x, count_y), and every grid has the one element
+    spacing. Spacing and separations are given in carrier wavelengths; element areas default to the spacing squared (one
     full cell). ``pc_layers`` counts the output layer when
     ``terminal_kind == "pc"`` and ``ac_layers`` counts it when "ac".
     ``slot_count`` is checked against the scenario's and used by nothing else.
@@ -163,8 +162,8 @@ def _layer_kinds(desc: StackDescription) -> tuple[LayerKind, ...]:
 class SimStack:
     """A fully built stack: its description, propagation matrices, and layer coefficients.
 
-    The propagation matrices are fixed by the geometry and read-only; hops of
-    equal geometry share one matrix, so a stack holds at most one Q x Q
+    The propagation matrices are fixed by the layer shapes and read-only; hops
+    between equal shapes share one matrix, so a stack holds at most one Q x Q
     matrix however many inner layers it has. Layer ``pos`` (cascade layer
     ``pos + 2``) has coefficients ``amplitudes[pos] * exp(j*phases[pos])``.
     Each layer tunes one of the two vectors, its :meth:`tunable` one (the
@@ -276,7 +275,7 @@ class SimStack:
 
 
 def build_stack(description: StackDescription) -> SimStack:
-    """Construct grids, propagation matrices, and initial coefficients.
+    """Construct the propagation matrices between layer shapes, and initial coefficients.
 
     Phase-controlled layers start at phase 0 with their fixed amplitude
     ``alpha_pc``; amplitude-controlled layers start at amplitude 1 clipped
@@ -288,11 +287,6 @@ def build_stack(description: StackDescription) -> SimStack:
         raise ConfigurationError("; ".join(problems))
     lam = description.wavelength
     spacing = description.element_spacing_wl * lam
-    upa = GridSpec(*description.upa_shape, spacing)
-    input_layer = GridSpec(*description.input_shape, spacing)
-    inner_layer = GridSpec(*description.inner_shape, spacing)
-    output_layer = GridSpec(*description.output_shape, spacing)
-
     cell = description.element_spacing_wl**2  # the default element area
     feed_area = (cell if description.feed_element_area_wl2 is None else description.feed_element_area_wl2) * lam**2
     meta_area = (cell if description.meta_element_area_wl2 is None else description.meta_element_area_wl2) * lam**2
@@ -301,23 +295,24 @@ def build_stack(description: StackDescription) -> SimStack:
     centered = description.centered_alignment
 
     kinds = _layer_kinds(description)
-    grids = [inner_layer] * (len(kinds) - 1) + [output_layer]
-    feed_matrix = build_propagation_matrix(upa, input_layer, feed_params, centered)
-    # One read-only matrix per distinct (source, destination) grid pair: all
+    input_shape = description.input_shape
+    shapes = [description.inner_shape] * (len(kinds) - 1) + [description.output_shape]
+    feed_matrix = build_propagation_matrix(description.upa_shape, input_shape, spacing, feed_params, centered)
+    # One read-only matrix per distinct (source, destination) shape pair: all
     # inner-to-inner hops share one, so the stack's size does not grow with depth.
-    hops: dict[tuple[GridSpec, GridSpec], np.ndarray] = {}
+    hops: dict[tuple, np.ndarray] = {}
     tail = []
-    for pair in zip([input_layer, *grids], grids):
+    for pair in zip([input_shape, *shapes], shapes):
         if pair not in hops:
-            hops[pair] = build_propagation_matrix(*pair, layer_params, centered)
+            hops[pair] = build_propagation_matrix(*pair, spacing, layer_params, centered)
         tail.append(hops[pair])
 
     rng = None
     if description.ac_phase_seed is not None:
         rng = np.random.default_rng(description.ac_phase_seed)
     phases, amplitudes = [], []
-    for kind, grid in zip(kinds, grids):
-        size = grid.total
+    for kind, shape in zip(kinds, shapes):
+        size = math.prod(shape)
         if kind.amplitude_tunable:
             phases.append(rng.uniform(0.0, TWO_PI, size) if rng is not None else np.zeros(size))
             amplitudes.append(np.clip(np.ones(size), *description.alpha_bounds))

@@ -125,49 +125,48 @@ def exhaustive_schedule(effective: np.ndarray, noise: float):
     return assignment
 
 
-def linear_index(grid: ss.GridSpec, ix: int, iy: int) -> int:
-    """Row-major linear index of the element at 2-D position ``(ix, iy)``."""
-    if not (0 <= ix < grid.count_x and 0 <= iy < grid.count_y):
-        raise IndexError(f"coordinate ({ix}, {iy}) outside {grid.count_x}x{grid.count_y} grid")
-    return ix * grid.count_y + iy
+def linear_index(shape: tuple[int, int], ix: int, iy: int) -> int:
+    """Row-major linear index of the element at 2-D position ``(ix, iy)`` of a grid of ``shape``."""
+    count_x, count_y = shape
+    if not (0 <= ix < count_x and 0 <= iy < count_y):
+        raise IndexError(f"coordinate ({ix}, {iy}) outside {count_x}x{count_y} grid")
+    return ix * count_y + iy
 
 
-def grid_coordinates(grid: ss.GridSpec, index: int) -> tuple[int, int]:
+def grid_coordinates(shape: tuple[int, int], index: int) -> tuple[int, int]:
     """Inverse of :func:`linear_index`."""
-    if not (0 <= index < grid.total):
-        raise IndexError(f"linear index {index} outside grid with {grid.total} elements")
-    return index // grid.count_y, index % grid.count_y
+    if not (0 <= index < shape[0] * shape[1]):
+        raise IndexError(f"linear index {index} outside grid with {shape[0] * shape[1]} elements")
+    return index // shape[1], index % shape[1]
 
 
 def pair_distance(
-    grid_a: ss.GridSpec,
+    shape_a: tuple[int, int],
     idx_a: int,
-    grid_b: ss.GridSpec,
+    shape_b: tuple[int, int],
     idx_b: int,
+    spacing: float,
     separation: float,
     centered: bool = False,
 ) -> float:
     """Distance between element ``idx_a`` of one grid and ``idx_b`` of a parallel grid.
 
-    The grids are concentric, axis-aligned planes ``separation`` meters apart
-    sharing a common element spacing. By default grid origins are aligned by
-    index (element (0, 0) of each grid coincides); ``centered=True`` aligns
-    the grid centers instead.
+    The grids, of shapes ``shape_a`` and ``shape_b``, are concentric,
+    axis-aligned planes ``separation`` meters apart sharing the element
+    spacing ``spacing``. By default grid origins are aligned by index (element
+    (0, 0) of each grid coincides); ``centered=True`` aligns the grid centers
+    instead.
     """
     if not separation > 0:
         raise ValueError(f"separation must be positive, got {separation}")
-    if grid_a.spacing != grid_b.spacing:
-        raise ss.ConfigurationError(
-            f"grids must share a common spacing, got {grid_a.spacing} and {grid_b.spacing}"
-        )
-    ax, ay = grid_coordinates(grid_a, idx_a)
-    bx, by = grid_coordinates(grid_b, idx_b)
+    ax, ay = grid_coordinates(shape_a, idx_a)
+    bx, by = grid_coordinates(shape_b, idx_b)
     dx = float(ax - bx)
     dy = float(ay - by)
     if centered:
-        dx += (grid_b.count_x - grid_a.count_x) / 2.0
-        dy += (grid_b.count_y - grid_a.count_y) / 2.0
-    return math.sqrt((dx * dx + dy * dy) * grid_a.spacing**2 + separation**2)
+        dx += (shape_b[0] - shape_a[0]) / 2.0
+        dy += (shape_b[1] - shape_a[1]) / 2.0
+    return math.sqrt((dx * dx + dy * dy) * spacing**2 + separation**2)
 
 
 def user_sinr(c_row: np.ndarray, n: int, noise_over_energy: float) -> float:

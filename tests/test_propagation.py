@@ -5,8 +5,6 @@ import pytest
 
 from stacksim import (
     PRESETS,
-    ConfigurationError,
-    GridSpec,
     KernelParams,
     build_propagation_matrix,
     build_stack,
@@ -49,16 +47,15 @@ class TestKernel:
         params = half_wave_params()
         # Both alignments, a source smaller and larger than its destination,
         # odd and even sides (half-integer offsets when centered), up to Q=576.
-        for dst_shape, src_shape in ((6, 9), (7, 5)), ((10, 10), (24, 24)), ((12, 12), (5, 13)), ((24, 24), (24, 24)):
-            src = GridSpec(*src_shape, params.separation)
-            dst = GridSpec(*dst_shape, params.separation)
+        s = params.separation
+        for dst, src in ((6, 9), (7, 5)), ((10, 10), (24, 24)), ((12, 12), (5, 13)), ((24, 24), (24, 24)):
             d = np.array(
-                [[pair_distance(dst, r, src, c, params.separation, centered) for c in range(src.total)]
-                 for r in range(dst.total)]
+                [[pair_distance(dst, r, src, c, s, s, centered) for c in range(math.prod(src))]
+                 for r in range(math.prod(dst))]
             )
             expected = rs_kernel_expression(d, params)
             np.testing.assert_array_equal(rs_kernel(d, params), expected)
-            np.testing.assert_array_equal(build_propagation_matrix(src, dst, params, centered), expected)
+            np.testing.assert_array_equal(build_propagation_matrix(src, dst, s, params, centered), expected)
         assert type(rs_kernel(0.0123, params)) is complex
         assert rs_kernel(0.0123, params) == complex(rs_kernel_expression(0.0123, params))
 
@@ -73,58 +70,56 @@ class TestKernel:
 class TestPropagationMatrix:
     def test_single_element_pair(self):
         params = half_wave_params()
-        grid = GridSpec(1, 1, params.separation)
-        matrix = build_propagation_matrix(grid, grid, params)
+        matrix = build_propagation_matrix((1, 1), (1, 1), params.separation, params)
         expected = (-1.0 + 1j * math.pi) / (2.0 * math.pi)
         assert matrix.shape == (1, 1)
         assert matrix[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_feed_matrix_dimensions(self):
         params = half_wave_params()
-        upa = GridSpec(2, 2, params.separation)
-        input_layer = GridSpec(3, 3, params.separation)
-        assert build_propagation_matrix(upa, input_layer, params).shape == (9, 4)
+        assert build_propagation_matrix((2, 2), (3, 3), params.separation, params).shape == (9, 4)
 
     def test_swap_transposes(self):
         params = half_wave_params()
-        a = GridSpec(2, 3, params.separation)
-        b = GridSpec(4, 2, params.separation)
-        forward = build_propagation_matrix(a, b, params)
-        backward = build_propagation_matrix(b, a, params)
+        forward = build_propagation_matrix((2, 3), (4, 2), params.separation, params)
+        backward = build_propagation_matrix((4, 2), (2, 3), params.separation, params)
         np.testing.assert_array_equal(forward, backward.T)
 
     def test_matches_pair_distance_entrywise(self):
         params = half_wave_params()
-        src = GridSpec(3, 2, params.separation)
-        dst = GridSpec(2, 4, params.separation)
+        s = params.separation
+        src, dst = (3, 2), (2, 4)
         for centered in (False, True):
-            matrix = build_propagation_matrix(src, dst, params, centered=centered)
-            for r in range(dst.total):
-                for c in range(src.total):
-                    d = pair_distance(dst, r, src, c, params.separation, centered=centered)
+            matrix = build_propagation_matrix(src, dst, s, params, centered=centered)
+            for r in range(math.prod(dst)):
+                for c in range(math.prod(src)):
+                    d = pair_distance(dst, r, src, c, s, s, centered=centered)
                     # 1-ulp tolerance: numpy's vectorized exp may differ from
                     # its scalar path in the last bit.
                     assert matrix[r, c] == pytest.approx(rs_kernel(d, params), rel=1e-14)
 
     def test_deterministic_rebuild(self):
         params = half_wave_params()
-        src = GridSpec(5, 5, params.separation)
-        dst = GridSpec(4, 4, params.separation)
-        first = build_propagation_matrix(src, dst, params)
-        second = build_propagation_matrix(src, dst, params)
+        first = build_propagation_matrix((5, 5), (4, 4), params.separation, params)
+        second = build_propagation_matrix((5, 5), (4, 4), params.separation, params)
         np.testing.assert_array_equal(first, second)
 
     def test_magnitude_decreases_with_transverse_offset(self):
         params = half_wave_params()
-        src = GridSpec(1, 1, params.separation)
-        dst = GridSpec(1, 12, params.separation)
-        magnitudes = np.abs(build_propagation_matrix(src, dst, params))[:, 0]
+        magnitudes = np.abs(build_propagation_matrix((1, 1), (1, 12), params.separation, params))[:, 0]
         assert np.all(np.diff(magnitudes) < 0)
 
-    def test_mismatched_spacing_rejected(self):
+    @pytest.mark.parametrize("src,dst", [((0, 3), (2, 2)), ((2, 2), (2, 0))])
+    def test_zero_count_rejected(self, src, dst):
         params = half_wave_params()
-        with pytest.raises(ConfigurationError):
-            build_propagation_matrix(GridSpec(2, 2, 0.004), GridSpec(2, 2, 0.005), params)
+        with pytest.raises(ValueError, match="at least one element per axis"):
+            build_propagation_matrix(src, dst, params.separation, params)
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.004])
+    def test_non_positive_spacing_rejected(self, spacing):
+        params = half_wave_params()
+        with pytest.raises(ValueError, match="spacing must be positive"):
+            build_propagation_matrix((2, 2), (2, 2), spacing, params)
 
     def test_kernel_evaluated_once_per_offset(self, monkeypatch):
         # fig5's four hops (2x2 -> 10x10 -> 24x24 -> 24x24 -> 3x3) have
@@ -144,7 +139,6 @@ class TestPropagationMatrix:
 
     def test_result_is_read_only(self):
         params = half_wave_params()
-        grid = GridSpec(2, 2, params.separation)
-        matrix = build_propagation_matrix(grid, grid, params)
+        matrix = build_propagation_matrix((2, 2), (2, 2), params.separation, params)
         with pytest.raises(ValueError):
             matrix[0, 0] = 0

@@ -56,12 +56,9 @@ class TestBuild:
         assert not any(m.flags.writeable for m in tails)
         lam = desc.wavelength
         params = ss.KernelParams(lam, (0.5 * lam) ** 2, 0.5 * lam)
-        input_layer, inner_layer, output_layer = (
-            ss.GridSpec(*shape, 0.5 * lam) for shape in (desc.input_shape, desc.inner_shape, desc.output_shape)
-        )
-        grids = [input_layer] + [inner_layer] * 4 + [output_layer]
-        for matrix, src, dst in zip(tails, grids[:-1], grids[1:], strict=True):
-            np.testing.assert_array_equal(matrix, ss.build_propagation_matrix(src, dst, params, centered))
+        shapes = [desc.input_shape] + [desc.inner_shape] * 4 + [desc.output_shape]
+        for matrix, src, dst in zip(tails, shapes[:-1], shapes[1:], strict=True):
+            np.testing.assert_array_equal(matrix, ss.build_propagation_matrix(src, dst, 0.5 * lam, params, centered))
 
     def test_memory_does_not_grow_with_depth(self):
         # Q=144 with 2 AC + 6 PC layers. In units of one Q x Q complex matrix:

@@ -8,14 +8,16 @@ Each tree is a checkout of this repository whose package is imported from
 the same time, each as a subprocess with ``OPENBLAS_NUM_THREADS=1`` so that
 BLAS threading cannot move a last bit. They write to ``OUT_DIR/parent/<name>``
 and ``OUT_DIR/change/<name>``, and ``compare_outputs.py`` (next to this
-script) compares each pair. The thirteen commands are the four presets, ``run``
+script) compares each pair. The fourteen commands are the four presets, ``run``
 on ``DENSE_CELL_CONFIG`` from CHANGE_TREE's ``bench/workloads.py``, ``run``
 on ``BASE_POINT`` (no swept axis), ``run`` on ``DOWNLINK_INNER`` (one
 trial's user pool serves points with different stacks), ``run`` on
 ``NON_SQUARE_SCALE`` under ``--scale`` (a non-square output layer that
 ``--scale`` must keep within the training budget), ``run`` on
 ``NARROW_INPUT_SCALE`` under ``--scale`` (a 1x8 input layer that ``--scale``
-must not widen), and ``synth`` on the bare-stack configs ``BARE_SYNTH`` (the
+must not widen), ``run`` on ``NON_SQUARE_INNER_SCALE`` under ``--scale`` (a
+2x19 inner layer whose short side is below the longest boundary side), and
+``synth`` on the bare-stack configs ``BARE_SYNTH`` (the
 default amplitude range), ``BARE_SYNTH_RANGE`` (a narrow one),
 ``BARE_SYNTH_CENTERED`` (grids aligned by their centers) and
 ``BARE_SYNTH_AC_PHASES`` (nonzero fixed AC phases, a range above 1); the
@@ -146,9 +148,29 @@ NARROW_INPUT_SCALE = {
     "pgd": {"max_iterations": 20},
 }
 
+# A 1x8 input, 2x19 inner and 2x2 output layer over the default 2x2 feed,
+# 1 AC + 2 PC layers, one slot, one trial of 20 iterations, run at --scale
+# 0.25: the inner layer's 2-cell short side is below the longest scaled
+# boundary side (4), yet the layer has more cells than either boundary layer.
+NON_SQUARE_INNER_SCALE = {
+    "kind": "sumrate_vs_users",
+    "stack": {
+        "input_shape": [1, 8],
+        "inner_shape": [2, 19],
+        "output_shape": [2, 2],
+        "ac_layers": 1,
+        "pc_layers": 2,
+        "slot_count": 1,
+    },
+    "scenario": {"user_count": 40, "slot_count": 1, "streams": 4},
+    "sweep": {},
+    "pgd": {"max_iterations": 20},
+}
+
 # name -> CLI arguments; "{dense_cell}", "{base_point}", "{downlink_inner}",
-# "{non_square_scale}", "{narrow_input_scale}", "{bare_synth}", "{bare_synth_range}",
-# "{bare_synth_centered}" and "{bare_synth_ac_phases}" stand for the config files.
+# "{non_square_scale}", "{narrow_input_scale}", "{non_square_inner_scale}",
+# "{bare_synth}", "{bare_synth_range}", "{bare_synth_centered}" and
+# "{bare_synth_ac_phases}" stand for the config files.
 BATTERY = {
     "fig3": ["fig3", "--seed", "1", "--trials", "1", "--scale", "0.25"],
     "fig4": ["fig4", "--trials", "1", "--scale", "0.3"],
@@ -159,6 +181,7 @@ BATTERY = {
     "downlink-inner": ["run", "{downlink_inner}"],
     "non-square-scale": ["run", "{non_square_scale}", "--scale", "0.25"],
     "narrow-input-scale": ["run", "{narrow_input_scale}", "--scale", "0.25"],
+    "non-square-inner-scale": ["run", "{non_square_inner_scale}", "--scale", "0.25"],
     "synth": ["synth", "{bare_synth}"],
     "synth-range": ["synth", "{bare_synth_range}"],
     "synth-centered": ["synth", "{bare_synth_centered}"],
@@ -193,6 +216,7 @@ def main(argv: list[str]) -> int:
         "downlink_inner": DOWNLINK_INNER,
         "non_square_scale": NON_SQUARE_SCALE,
         "narrow_input_scale": NARROW_INPUT_SCALE,
+        "non_square_inner_scale": NON_SQUARE_INNER_SCALE,
         "bare_synth": BARE_SYNTH,
         "bare_synth_range": BARE_SYNTH_RANGE,
         "bare_synth_centered": BARE_SYNTH_CENTERED,
