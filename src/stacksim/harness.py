@@ -580,9 +580,10 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
     to ceil(side * sqrt(factor)); then the layer's shortest sides grow together
     until it meets the rule the unscaled config obeys, or is unscaled again: a
     cell per antenna in a boundary layer, training within budget at the largest
-    slot count in a downlink output layer (see :func:`overhead`), and no inner
-    side, swept or not, shorter than the longest scaled boundary side. So no
-    side grows past its unscaled length. Only downward scaling is supported.
+    slot count in a downlink output layer (see :func:`overhead`), and at least
+    as many cells in every inner layer, swept or not, as in each scaled
+    boundary layer (see :meth:`StackDescription.validate`). So no side grows
+    past its unscaled length. Only downward scaling is supported.
     """
     if factor == 1.0:
         return config
@@ -601,9 +602,9 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
 
     input_shape = scaled(stack.input_shape, lambda shape: math.prod(shape) >= antennas)
     output_shape = scaled(stack.output_shape, lambda shape: math.prod(shape) >= antennas and trains(shape))
-    boundary_side = max(*input_shape, *output_shape)
+    boundary_cells = max(math.prod(input_shape), math.prod(output_shape))
     fulls = [stack.inner_shape, *((math.isqrt(q),) * 2 for q in sweep.inner_counts or ())]
-    inner_shape, *swept = [scaled(full, lambda shape: min(shape) >= boundary_side) for full in fulls]
+    inner_shape, *swept = [scaled(full, lambda shape: math.prod(shape) >= boundary_cells) for full in fulls]
     stack = dataclasses.replace(stack, input_shape=input_shape, inner_shape=inner_shape, output_shape=output_shape)
     if sweep.inner_counts is not None:
         sweep = dataclasses.replace(sweep, inner_counts=tuple(dict.fromkeys(math.prod(s) for s in swept)))

@@ -485,6 +485,28 @@ class TestPresetsAndScale:
         assert (scaled.stack.input_shape, scaled.stack.inner_shape, scaled.stack.output_shape) == ((2, 2),) * 3
         assert harness.validate_config(scaled) == []
 
+    def test_scale_shrinks_an_inner_layer_by_its_cells(self):
+        # Inner sides were floored at the longest scaled boundary side (4), a rule
+        # this 2x19 layer never obeyed: it kept all 38 cells. Z, V <= Q needs 4.
+        stack = ss.StackDescription(
+            input_shape=(1, 8), inner_shape=(2, 19), output_shape=(2, 2), ac_layers=1, pc_layers=2, slot_count=1
+        )
+        config = harness.ExperimentConfig(
+            kind=harness.ExperimentKind.SUMRATE_VS_USERS,
+            stack=stack,
+            scenario=ss.DownlinkScenario(user_count=40, slot_count=1, streams=4),
+            sweep=harness.SweepAxes(),
+        )
+        scaled = harness.with_overrides(config, scale=0.25)
+        assert (scaled.stack.input_shape, scaled.stack.inner_shape, scaled.stack.output_shape) == (
+            (1, 4), (1, 10), (2, 2)
+        )
+        assert math.prod(scaled.stack.inner_shape) < math.prod(stack.inner_shape)
+        assert harness.validate_config(scaled) == []
+        # A swept inner layer follows the same rule: 6x6 shrinks to 3x3, not 4x4.
+        swept = dataclasses.replace(config, sweep=harness.SweepAxes(inner_counts=(36,)))
+        assert harness.with_overrides(swept, scale=0.25).sweep.inner_counts == (9,)
+
     def test_scale_rejects_an_invalid_config(self):
         # An empty swept axis reached max() over no sweep points and raised a bare ValueError.
         config = dataclasses.replace(harness.PRESETS["fig5"], sweep=harness.SweepAxes(user_counts=()))
