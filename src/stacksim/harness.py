@@ -580,10 +580,9 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
     to ceil(side * sqrt(factor)); then the layer's shortest sides grow together
     until it meets the rule the unscaled config obeys, or is unscaled again: a
     cell per antenna in a boundary layer, training within budget at the largest
-    slot count in a downlink output layer (see :func:`overhead`), and at least
-    as many cells in every inner layer, swept or not, as in each scaled
-    boundary layer (see :meth:`StackDescription.validate`). So no side grows
-    past its unscaled length. Only downward scaling is supported.
+    slot count in a downlink output layer (see :func:`overhead`), and an inner
+    layer, swept or not, at least as large as each scaled boundary layer. So no
+    side grows past its unscaled length. Only downward scaling is supported.
     """
     if factor == 1.0:
         return config

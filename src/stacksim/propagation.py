@@ -10,12 +10,11 @@ Rayleigh-Sommerfeld diffraction integral for an element of effective area
 with ``k0 = 2*pi/lambda0`` the free-space wavenumber and ``d`` the distance
 between the two elements.
 
-A grid is its ``(count_x, count_y)`` shape, its elements addressed by a
-row-major linear index, and the grids of a stack share one element spacing.
-So ``d`` depends only on the in-plane offset between two elements. A
-propagation matrix evaluates the kernel once per distinct offset and gathers
-its entries from that table, so its build allocates no other array of the
-matrix's size.
+A grid is its ``(count_x, count_y)`` shape, and a stack's grids share one
+element spacing, so ``d`` depends only on the in-plane offset between two
+elements. A propagation matrix evaluates the kernel once per distinct offset
+and gathers its entries from that table, so its build allocates no other
+array of the matrix's size.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
 
 __all__ = ["SPEED_OF_LIGHT", "KernelParams", "rs_kernel", "build_propagation_matrix"]
 
@@ -78,9 +76,9 @@ def build_propagation_matrix(
 ) -> np.ndarray:
     """Complex ``prod(dst) x prod(src)`` matrix of per-element-pair gains.
 
-    ``src`` and ``dst`` are grid shapes, both with element spacing ``spacing``
-    meters. Entry (r, c) is the kernel evaluated at the distance between
-    destination element ``r`` and source element ``c`` for planes
+    ``src`` and ``dst`` are grid shapes, ``spacing`` meters between elements.
+    Entry (r, c) is the kernel at the distance between destination element
+    ``r`` and source element ``c`` (row-major indices) for planes
     ``params.separation`` apart. Grids are aligned by index (element (0, 0) of
     each grid coincides), or by their centers when ``centered``; the test suite
     checks every entry against a per-pair distance oracle (``pair_distance`` in
