@@ -62,8 +62,8 @@ class LayerKind(str, Enum):
 class StackDescription:
     """Serializable description of a stack; the canonical experiment config fragment.
 
-    Grid shapes are (count_x, count_y), and every grid has the one element
-    spacing. Spacing and separations are given in carrier wavelengths; element areas default to the spacing squared (one
+    Grid shapes are (count_x, count_y). Spacings and separations are given in
+    carrier wavelengths; element areas default to the spacing squared (one
     full cell). ``pc_layers`` counts the output layer when
     ``terminal_kind == "pc"`` and ``ac_layers`` counts it when "ac".
     ``slot_count`` is checked against the scenario's and used by nothing else.

@@ -135,8 +135,8 @@ def linear_index(shape: tuple[int, int], ix: int, iy: int) -> int:
 
 def grid_coordinates(shape: tuple[int, int], index: int) -> tuple[int, int]:
     """Inverse of :func:`linear_index`."""
-    if not (0 <= index < shape[0] * shape[1]):
-        raise IndexError(f"linear index {index} outside grid with {shape[0] * shape[1]} elements")
+    if not (0 <= index < math.prod(shape)):
+        raise IndexError(f"linear index {index} outside grid with {math.prod(shape)} elements")
     return index // shape[1], index % shape[1]
 
 
