@@ -584,11 +584,11 @@ def apply_scale(config: ExperimentConfig, factor: float) -> ExperimentConfig:
     layer, swept or not, at least as large as each scaled boundary layer. So no
     side grows past its unscaled length. Only downward scaling is supported.
     """
-    if factor == 1.0:
-        return config
     if not 0.0 < factor <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {factor}")
     _check_config(config)
+    if factor == 1.0:
+        return config
     stack, sweep, streams = config.stack, config.sweep, config.scenario.streams
     antennas = math.prod(stack.upa_shape)
     slots = max(scenario.slot_count for _, _, scenario in sweep_points(config))

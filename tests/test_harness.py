@@ -513,6 +513,13 @@ class TestPresetsAndScale:
         with pytest.raises(ss.ValidationError, match="swept axis users must be non-empty"):
             harness.apply_scale(config, 0.25)
 
+    def test_scale_one_validates_too(self):
+        # Factor 1.0 returned the config before validating it.
+        config = dataclasses.replace(harness.PRESETS["fig5"], trial_count=0)
+        for factor in (0.5, 1.0):
+            with pytest.raises(ss.ValidationError, match="trial_count must be at least 1"):
+                harness.apply_scale(config, factor)
+
     def test_scaled_downlink_presets_keep_the_training_budget(self):
         # --scale 0.25 shrank the 3x3 output layer to 2x2, so fig5 (M = 2 slots,
         # N = 4 streams) warned that training cost more than full acquisition.
