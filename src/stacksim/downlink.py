@@ -8,8 +8,7 @@ strongest reporter. A full-feedback baseline serves the strongest channels
 with channel-inversion precoding under the same total power.
 
 Noise enters every SINR as the single scalar ratio of noise power to
-per-stream symbol energy, derived from the scenario's power and noise
-settings (see :meth:`DownlinkScenario.noise_over_energy`).
+per-stream symbol energy, :data:`NOISE_OVER_ENERGY`, from the fixed link budget.
 """
 
 from __future__ import annotations
@@ -40,11 +39,22 @@ __all__ = [
 
 UNSERVED = -1
 
+# The cell and link budget every experiment shares: users on an annulus of
+# radii 10 and 50 m below a base station 10 m up, 15 dBm radiated over 10 MHz
+# at -174 dBm/Hz thermal noise. Symbol energy per unit time equals the radiated
+# power at Nyquist signaling, so the noise over per-stream symbol energy
+# reduces to (noise power) / (transmit power).
+BS_HEIGHT_M = 10.0
+INNER_RADIUS_M = 10.0
+OUTER_RADIUS_M = 50.0
+NOISE_OVER_ENERGY = 10.0 ** ((-174.0 + 10.0 * math.log10(10e6) - 15.0) / 10.0)
+
 
 @dataclass(frozen=True)
 class DownlinkScenario:
-    """Cell geometry, link budget, and schedule shape of one simulation. The
-    carrier is the stack's (:attr:`StackDescription.frequency_hz`).
+    """User count and schedule shape of one simulation, and the path-loss law.
+    The carrier is the stack's (:attr:`StackDescription.frequency_hz`); the cell
+    and the link budget are fixed (:data:`NOISE_OVER_ENERGY`).
 
     The path-loss exponent defaults to 3.2 (3GPP UMi NLOS at 28 GHz); the
     opportunistic scheme's gain over the full-feedback baseline hinges on how
@@ -53,12 +63,6 @@ class DownlinkScenario:
     """
 
     user_count: int
-    bs_height_m: float = 10.0
-    inner_radius_m: float = 10.0
-    outer_radius_m: float = 50.0
-    bandwidth_hz: float = 10e6
-    tx_power_dbm: float = 15.0
-    noise_psd_dbm_hz: float = -174.0
     pathloss_exponent: float = 3.2
     reference_distance_m: float = 1.0
     slot_count: int = 2
@@ -70,27 +74,14 @@ class DownlinkScenario:
             problems.append("user_count must be at least 1")
         elif self.user_count < self.streams:
             problems.append(f"user_count ({self.user_count}) must be at least streams ({self.streams})")
-        if not 0 < self.inner_radius_m < self.outer_radius_m:
-            problems.append("need 0 < inner_radius_m < outer_radius_m")
         if self.slot_count < 1:
             problems.append("slot_count must be at least 1")
         if self.streams < 1:
             problems.append("streams must be at least 1")
-        for name in ("bs_height_m", "bandwidth_hz", "pathloss_exponent", "reference_distance_m"):
+        for name in ("pathloss_exponent", "reference_distance_m"):
             if not getattr(self, name) > 0:
                 problems.append(f"{name} must be positive")
         return problems
-
-    @property
-    def noise_over_energy(self) -> float:
-        """Noise power over per-stream symbol energy rate, as one linear scalar.
-
-        Noise power is the PSD integrated over the bandwidth; symbol energy
-        per unit time equals the radiated power at Nyquist signaling, so the
-        ratio reduces to (noise power) / (transmit power).
-        """
-        noise_dbm = self.noise_psd_dbm_hz + 10.0 * math.log10(self.bandwidth_hz)
-        return 10.0 ** ((noise_dbm - self.tx_power_dbm) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -152,13 +143,13 @@ def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_s
     fad_rng = np.random.default_rng(fading_seed)
 
     count = scenario.user_count
-    r_in2 = scenario.inner_radius_m**2
-    r_out2 = scenario.outer_radius_m**2
+    r_in2 = INNER_RADIUS_M**2
+    r_out2 = OUTER_RADIUS_M**2
     radius = np.sqrt(r_in2 + (r_out2 - r_in2) * pos_rng.uniform(size=count))
     angle = pos_rng.uniform(0.0, 2.0 * math.pi, count)
     shape = (count, output_size)
     fading = (fad_rng.standard_normal(shape) + 1j * fad_rng.standard_normal(shape)) * math.sqrt(0.5 / output_size)
-    distance = np.sqrt(radius**2 + scenario.bs_height_m**2)
+    distance = np.sqrt(radius**2 + BS_HEIGHT_M**2)
     return Users(
         positions=np.column_stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(count)]),
         distance=distance,

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .downlink import (
+    NOISE_OVER_ENERGY,
     DownlinkScenario,
     Users,
     baseline_mimo,
@@ -420,13 +421,14 @@ def _downlink_metrics(
     slots = scenario.slot_count
     seed = stream_seed(config.master_seed, "st-phases", trial, slots, synth_key)
     phases = draw_slot_phases(slots, stack.input_size, seed)
-    noise = scenario.noise_over_energy
-    results = [schedule_slot(effective_channels(users, slot_response(stack, row)), noise) for row in phases]
+    results = [
+        schedule_slot(effective_channels(users, slot_response(stack, row)), NOISE_OVER_ENERGY) for row in phases
+    ]
     ratio = radiated_power_ratio(stack)
     if not math.isfinite(ratio):  # a numeric failure, not a bad power budget for the baseline
         raise FloatingPointError(f"radiated_power_ratio is {ratio}")
     # Channels are block-constant: one baseline result serves every slot.
-    schemes = {"": results, "_baseline": [baseline_mimo(users, scenario.streams, noise, ratio)] * slots}
+    schemes = {"": results, "_baseline": [baseline_mimo(users, scenario.streams, NOISE_OVER_ENERGY, ratio)] * slots}
     # Every scheme's sum rate, then its fairness: summary.json rows follow this order.
     metrics = {f"ta_sum_rate{suffix}": ta_sum_rate(slot_results) for suffix, slot_results in schemes.items()}
     for suffix, slot_results in schemes.items():

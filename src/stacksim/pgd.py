@@ -67,6 +67,9 @@ _BLOCK = 64
 # The sufficient-decrease constant c of the line search's Armijo test.
 ARMIJO_CONSTANT = 1e-4
 
+# The run stops once an iteration lowers the objective by at most this share of it.
+RELATIVE_TOLERANCE = 1e-8
+
 
 def _blocks(size: int) -> list[slice]:
     """Slices covering ``range(size)`` in blocks of ``_BLOCK``; a last block of
@@ -88,7 +91,6 @@ class PgdConfig:
     """
 
     max_iterations: int = 800
-    relative_tolerance: float = 1e-8
     backtracking_contraction: float = 0.5
     initial_step: float = 1.0
     step_growth: float = 4.0
@@ -348,7 +350,7 @@ def run_pgd(
         trace.append(f_next)
         change = f_current - f_next
         f_current = f_next
-        if change <= config.relative_tolerance * max(trace[-2], 1e-300):
+        if change <= RELATIVE_TOLERANCE * max(trace[-2], 1e-300):
             converged = True
             break
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import stacksim as ss
-from stacksim.downlink import pathloss
+from stacksim.downlink import BS_HEIGHT_M, INNER_RADIUS_M, OUTER_RADIUS_M, pathloss
 from conftest import baseline_sinrs, beam_sinr_cdf, exhaustive_schedule, user_sinr
 
 
@@ -43,8 +43,8 @@ class TestDropUsers:
         scen = scenario(user_count=2000)
         users = ss.drop_users(scen, seed=1, fading_seed=11, output_size=9, wavelength=WAVELENGTH)
         distances = users.distance
-        assert np.all(distances >= math.sqrt(scen.inner_radius_m**2 + scen.bs_height_m**2) - 1e-12)
-        assert np.all(distances <= math.sqrt(scen.outer_radius_m**2 + scen.bs_height_m**2) + 1e-12)
+        assert np.all(distances >= math.sqrt(INNER_RADIUS_M**2 + BS_HEIGHT_M**2) - 1e-12)
+        assert np.all(distances <= math.sqrt(OUTER_RADIUS_M**2 + BS_HEIGHT_M**2) + 1e-12)
         assert distances.min() >= 14.142
 
     def test_fading_energy_normalized(self):
@@ -57,7 +57,7 @@ class TestDropUsers:
         scen = scenario(user_count=10_000)
         users = ss.drop_users(scen, seed=3, fading_seed=13, output_size=4, wavelength=WAVELENGTH)
         radii = np.linalg.norm(users.positions[:, :2], axis=1)
-        transformed = (radii**2 - scen.inner_radius_m**2) / (scen.outer_radius_m**2 - scen.inner_radius_m**2)
+        transformed = (radii**2 - INNER_RADIUS_M**2) / (OUTER_RADIUS_M**2 - INNER_RADIUS_M**2)
         statistic = stats.kstest(transformed, "uniform").statistic
         assert statistic < 1.628 / math.sqrt(len(users))
 

@@ -178,7 +178,7 @@ class TestRunPgd:
         stack = small_stack(input_shape=(2, 1), inner_shape=(2, 2), output_shape=(2, 1), seed=11)
         target = reachable_target(stack)
         randomize_seed = 500  # fresh start away from the solution
-        config = ss.PgdConfig(max_iterations=4000, relative_tolerance=1e-16, seed=randomize_seed)
+        config = ss.PgdConfig(max_iterations=4000, seed=randomize_seed)
         state = ss.run_pgd(stack, target, config)
         assert state.objective_trace[-1] < 1e-12 * state.objective_trace[0]
 

@@ -167,10 +167,22 @@ NON_SQUARE_INNER_SCALE = {
     "pgd": {"max_iterations": 20},
 }
 
-# name -> CLI arguments; "{dense_cell}", "{base_point}", "{downlink_inner}",
-# "{non_square_scale}", "{narrow_input_scale}", "{non_square_inner_scale}",
-# "{bare_synth}", "{bare_synth_range}", "{bare_synth_centered}" and
-# "{bare_synth_ac_phases}" stand for the config files.
+# The config files the battery writes, by placeholder; "dense_cell" is read
+# from CHANGE_TREE.
+CONFIGS = {
+    "base_point": BASE_POINT,
+    "downlink_inner": DOWNLINK_INNER,
+    "non_square_scale": NON_SQUARE_SCALE,
+    "narrow_input_scale": NARROW_INPUT_SCALE,
+    "non_square_inner_scale": NON_SQUARE_INNER_SCALE,
+    "bare_synth": BARE_SYNTH,
+    "bare_synth_range": BARE_SYNTH_RANGE,
+    "bare_synth_centered": BARE_SYNTH_CENTERED,
+    "bare_synth_ac_phases": BARE_SYNTH_AC_PHASES,
+}
+
+# name -> CLI arguments; "{dense_cell}" and each "{<key of CONFIGS>}" stand
+# for the config files.
 BATTERY = {
     "fig3": ["fig3", "--seed", "1", "--trials", "1", "--scale", "0.25"],
     "fig4": ["fig4", "--trials", "1", "--scale", "0.3"],
@@ -210,18 +222,7 @@ def main(argv: list[str]) -> int:
     trees = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1]).resolve()}
     out_dir = Path(argv[2]).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
-    configs = {
-        "dense_cell": dense_cell_config(trees["change"]),
-        "base_point": BASE_POINT,
-        "downlink_inner": DOWNLINK_INNER,
-        "non_square_scale": NON_SQUARE_SCALE,
-        "narrow_input_scale": NARROW_INPUT_SCALE,
-        "non_square_inner_scale": NON_SQUARE_INNER_SCALE,
-        "bare_synth": BARE_SYNTH,
-        "bare_synth_range": BARE_SYNTH_RANGE,
-        "bare_synth_centered": BARE_SYNTH_CENTERED,
-        "bare_synth_ac_phases": BARE_SYNTH_AC_PHASES,
-    }
+    configs = {"dense_cell": dense_cell_config(trees["change"]), **CONFIGS}
     paths = {}
     for key, config in configs.items():
         paths[key] = out_dir / f"{key}.json"
