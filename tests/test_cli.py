@@ -378,6 +378,29 @@ def small_run_config(**changes):
         ("synth", {"stack": SMALL_STACK, "pgd": {"armijo_constant": 1e-4}}, "unknown pgd fields: armijo_constant"),
         # synth reads a stack, a pgd block and a master seed; a full experiment config is run's input.
         ("synth", small_run_config(), "unknown synth config fields: kind, scenario, sweep, trial_count"),
+        # The cell, the link budget and PGD's stopping tolerance are fixed
+        # values: naming one is rejected, even at its fixed value.
+        *(
+            (
+                "run",
+                small_run_config(scenario={"user_count": 6, "slot_count": 2, field: value}),
+                f"unknown scenario fields: {field}",
+            )
+            for field, value in (
+                ("bs_height_m", 10.0),
+                ("inner_radius_m", 10.0),
+                ("outer_radius_m", 50.0),
+                ("bandwidth_hz", 10e6),
+                ("tx_power_dbm", 15.0),
+                ("noise_psd_dbm_hz", -174.0),
+            )
+        ),
+        ("run", small_run_config(pgd={"relative_tolerance": 1e-8}), "unknown pgd fields: relative_tolerance"),
+        (
+            "synth",
+            {"stack": SMALL_STACK, "pgd": {"relative_tolerance": 1e-8}},
+            "unknown pgd fields: relative_tolerance",
+        ),
     ],
 )
 def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, config, message):
@@ -388,44 +411,6 @@ def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, c
     assert message in result.output
     assert result.output.count("Error:") == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert not (tmp_path / "out").exists()
-
-
-# The cell, the link budget and PGD's stopping tolerance are fixed values:
-# a config naming one, even at its fixed value, is rejected.
-FIXED_SCENARIO = {
-    "bs_height_m": 10.0,
-    "inner_radius_m": 10.0,
-    "outer_radius_m": 50.0,
-    "bandwidth_hz": 10e6,
-    "tx_power_dbm": 15.0,
-    "noise_psd_dbm_hz": -174.0,
-}
-
-
-@pytest.mark.parametrize(
-    "command, config, message",
-    [
-        *(
-            (
-                "run",
-                small_run_config(scenario={"user_count": 6, "slot_count": 2, name: value}),
-                f"unknown scenario fields: {name}",
-            )
-            for name, value in FIXED_SCENARIO.items()
-        ),
-        ("run", small_run_config(pgd={"relative_tolerance": 1e-8}), "unknown pgd fields: relative_tolerance"),
-        ("synth", {"stack": SMALL_STACK, "pgd": {"relative_tolerance": 1e-8}}, "unknown pgd fields: relative_tolerance"),
-    ],
-    ids=[*FIXED_SCENARIO, "run-relative_tolerance", "synth-relative_tolerance"],
-)
-def test_fixed_values_are_unknown_fields(runner, tmp_path, command, config, message):
-    config_file = tmp_path / "fixed.json"
-    config_file.write_text(json.dumps(config))
-    result = runner.invoke(main, [command, str(config_file), "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert message in result.output
-    assert result.output.count("Error:") == 1
     assert not (tmp_path / "out").exists()
 
 

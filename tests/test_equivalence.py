@@ -27,10 +27,6 @@ CONFIG_COMMANDS = [
 ]
 
 
-def test_every_config_is_used_once():
-    assert sorted(key for _, _, key in CONFIG_COMMANDS) == sorted(equivalence.CONFIGS)
-
-
 @pytest.mark.parametrize("name, command, key", CONFIG_COMMANDS, ids=[name for name, _, _ in CONFIG_COMMANDS])
 def test_battery_config_is_valid(name, command, key):
     data = equivalence.CONFIGS[key]
