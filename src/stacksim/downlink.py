@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .stack import WAVELENGTH
 
 __all__ = [
     "UNSERVED",
@@ -53,8 +54,8 @@ NOISE_OVER_ENERGY = 10.0 ** ((-174.0 + 10.0 * math.log10(10e6) - 15.0) / 10.0)
 @dataclass(frozen=True)
 class DownlinkScenario:
     """User count and schedule shape of one simulation, and the path-loss law.
-    The carrier is the stack's (:attr:`StackDescription.frequency_hz`); the cell
-    and the link budget are fixed (:data:`NOISE_OVER_ENERGY`).
+    The carrier (:data:`stack.CARRIER_HZ`), the cell and the link budget
+    (:data:`NOISE_OVER_ENERGY`) are fixed.
 
     The path-loss exponent defaults to 3.2 (3GPP UMi NLOS at 28 GHz); the
     opportunistic scheme's gain over the full-feedback baseline hinges on how
@@ -130,14 +131,14 @@ def pathloss(distance, wavelength: float, reference_distance: float, exponent: f
     return (wavelength / (4.0 * math.pi * reference_distance)) ** 2 * (reference_distance / distance) ** exponent
 
 
-def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_size: int, wavelength: float) -> Users:
+def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_size: int) -> Users:
     """Drop ``scenario.user_count`` users uniformly by area on the annulus and
     draw their fading.
 
     Positions come from the first child stream of ``seed``, fading from
     ``fading_seed``, so the two draws are independent. ``output_size`` is the
-    fading vector length, the stack's output layer size, and ``wavelength``
-    the stack's carrier wavelength, which sets the path loss.
+    fading vector length, the stack's output layer size. The path loss is at
+    the carrier wavelength :data:`stack.WAVELENGTH`.
     """
     pos_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     fad_rng = np.random.default_rng(fading_seed)
@@ -153,7 +154,7 @@ def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_s
     return Users(
         positions=np.column_stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(count)]),
         distance=distance,
-        pathloss=pathloss(distance, wavelength, scenario.reference_distance_m, scenario.pathloss_exponent),
+        pathloss=pathloss(distance, WAVELENGTH, scenario.reference_distance_m, scenario.pathloss_exponent),
         fading=fading,
     )
 

@@ -297,9 +297,16 @@ def _warn_training_budget(config: ExperimentConfig) -> None:
 # -- the runner ------------------------------------------------------------------
 
 
+# Stack fields that became constants, at their fixed values: kept in the key so that no seed moved.
+_FIXED_STACK_FIELDS = {
+    "frequency_hz": 28e9, "element_spacing_wl": 0.5, "layer_separation_wl": 0.5, "feed_separation_wl": 0.5,
+    "feed_element_area_wl2": None, "meta_element_area_wl2": None, "beta": 1.0,
+}
+
+
 def _synth_key(desc: StackDescription) -> str:
     """Stack identity for seed derivation; slot count does not affect synthesis."""
-    return json.dumps(dataclasses.replace(desc, slot_count=1).to_dict(), sort_keys=True)
+    return json.dumps({**desc.to_dict(), **_FIXED_STACK_FIELDS, "slot_count": 1}, sort_keys=True)
 
 
 def synthesize(stack: SimStack, pgd_overrides: dict, master_seed: int, trial: int) -> PgdState:
@@ -357,7 +364,6 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
             stream_seed(config.master_seed, "user-drop", trial),
             stream_seed(config.master_seed, "channels", trial, output_size),
             output_size,
-            config.stack.wavelength,
         )
         for trial in range(config.trial_count if downlink else 0)
     ]

@@ -37,6 +37,15 @@ __all__ = [
     "db_to_amplitude",
 ]
 
+# The source paper's geometry, after An et al.'s SIM model (IEEE JSAC 2023): a
+# 28 GHz carrier, half-wavelength element spacing and hop separations, full-cell
+# element areas and a lossless input layer. All hops, the feed's included, share HOP.
+CARRIER_HZ = 28e9
+WAVELENGTH = SPEED_OF_LIGHT / CARRIER_HZ
+SPACING = 0.5 * WAVELENGTH
+HOP = KernelParams(WAVELENGTH, 0.5**2 * WAVELENGTH**2, SPACING)
+BETA = 1.0
+
 
 def db_to_amplitude(db: float) -> float:
     """Amplitude-scale conversion, 10**(db/20)."""
@@ -62,9 +71,9 @@ class LayerKind(str, Enum):
 class StackDescription:
     """Serializable description of a stack; the canonical experiment config fragment.
 
-    Grid shapes are (count_x, count_y). Spacings and separations are given in
-    carrier wavelengths; element areas default to the spacing squared (one
-    full cell). ``pc_layers`` counts the output layer when
+    Grid shapes are (count_x, count_y); the carrier, the spacings and the
+    input layer's ``beta`` are fixed (:data:`CARRIER_HZ`, :data:`SPACING`,
+    :data:`HOP`, :data:`BETA`). ``pc_layers`` counts the output layer when
     ``terminal_kind == "pc"`` and ``ac_layers`` counts it when "ac".
     ``slot_count`` is checked against the scenario's and used by nothing else.
     """
@@ -76,13 +85,6 @@ class StackDescription:
     pc_layers: int
     upa_shape: tuple[int, int] = (2, 2)
     terminal_kind: str = "pc"
-    frequency_hz: float = 28e9
-    element_spacing_wl: float = 0.5
-    layer_separation_wl: float = 0.5
-    feed_separation_wl: float = 0.5
-    feed_element_area_wl2: float | None = None
-    meta_element_area_wl2: float | None = None
-    beta: float = 1.0
     alpha_pc: float = 0.9
     alpha_min_db: float = -22.0
     alpha_max_db: float = 13.0
@@ -95,10 +97,6 @@ class StackDescription:
         object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
         object.__setattr__(self, "inner_shape", tuple(int(v) for v in self.inner_shape))
         object.__setattr__(self, "output_shape", tuple(int(v) for v in self.output_shape))
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.frequency_hz
 
     @property
     def alpha_bounds(self) -> tuple[float, float]:
@@ -124,8 +122,6 @@ class StackDescription:
             problems.append(f"the input layer needs at least one cell per antenna (N={n}, Z={z})")
         if n > v:
             problems.append(f"the output layer needs at least one cell per stream (N={n}, V={v})")
-        if not 0 < self.beta <= 1.0:
-            problems.append(f"beta must be in (0, 1], got {self.beta}")
         if not 0 <= self.alpha_pc <= 1.0:
             problems.append(f"alpha_pc must be in [0, 1], got {self.alpha_pc}")
         if self.alpha_min_db > self.alpha_max_db:
@@ -134,12 +130,6 @@ class StackDescription:
             problems.append("slot_count must be at least 1")
         if self.ac_phase_seed is not None and self.ac_phase_seed < 0:
             problems.append(f"ac_phase_seed must be non-negative, got {self.ac_phase_seed}")
-        for name in ("frequency_hz", "element_spacing_wl", "layer_separation_wl", "feed_separation_wl"):
-            if not getattr(self, name) > 0:
-                problems.append(f"{name} must be positive")
-        for name in ("feed_element_area_wl2", "meta_element_area_wl2"):
-            if (area := getattr(self, name)) is not None and not area > 0:
-                problems.append(f"{name} must be positive when given")
         return problems
 
     def to_dict(self) -> dict:
@@ -216,7 +206,7 @@ class SimStack:
 
     @property
     def beta(self) -> float:
-        return self.description.beta
+        return BETA
 
     @property
     def alpha_bounds(self) -> tuple[float, float]:
@@ -285,26 +275,19 @@ def build_stack(description: StackDescription) -> SimStack:
     problems = description.validate()
     if problems:
         raise ConfigurationError("; ".join(problems))
-    lam = description.wavelength
-    spacing = description.element_spacing_wl * lam
-    cell = description.element_spacing_wl**2  # the default element area
-    feed_area = (cell if description.feed_element_area_wl2 is None else description.feed_element_area_wl2) * lam**2
-    meta_area = (cell if description.meta_element_area_wl2 is None else description.meta_element_area_wl2) * lam**2
-    feed_params = KernelParams(lam, feed_area, description.feed_separation_wl * lam)
-    layer_params = KernelParams(lam, meta_area, description.layer_separation_wl * lam)
     centered = description.centered_alignment
 
     kinds = _layer_kinds(description)
     input_shape = description.input_shape
     shapes = [description.inner_shape] * (len(kinds) - 1) + [description.output_shape]
-    feed_matrix = build_propagation_matrix(description.upa_shape, input_shape, spacing, feed_params, centered)
+    feed_matrix = build_propagation_matrix(description.upa_shape, input_shape, SPACING, HOP, centered)
     # One read-only matrix per distinct (source, destination) shape pair: all
     # inner-to-inner hops share one, so the stack's size does not grow with depth.
     hops: dict[tuple, np.ndarray] = {}
     tail = []
     for pair in zip([input_shape, *shapes], shapes):
         if pair not in hops:
-            hops[pair] = build_propagation_matrix(*pair, spacing, layer_params, centered)
+            hops[pair] = build_propagation_matrix(*pair, SPACING, HOP, centered)
         tail.append(hops[pair])
 
     rng = None

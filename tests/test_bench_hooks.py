@@ -6,6 +6,7 @@ metrics it fed read zero. Its workloads are CLI commands, one of them on a
 config file, and its overhead check reads config leaves from ``summary.json``.
 These tests fail when the package stops providing any of that."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -53,6 +54,29 @@ def test_every_workload_is_a_cli_command(monkeypatch, tmp_path):
 def test_dense_cell_config_is_valid(monkeypatch):
     config = harness.config_from_dict(load_bench(monkeypatch, "workloads").DENSE_CELL_CONFIG)
     assert harness.validate_config(config) == []
+
+
+# SHA-256 of each config's synthesis keys, one per sweep point, joined by
+# newlines, as recorded while the carrier and geometry were still stack fields.
+# The target and PGD start seeds, and so every metric the benchmark reads
+# against its reference, derive from these keys.
+SYNTH_KEY_SHA256 = {
+    "fig3": "f14f09ae9e2169ca954eb9b086b133b76ce3245c2110b9bdb61b134ce1fd4fdd",
+    "fig4": "db1c001da748ee7c7ffac02e9a5fa862fe7a38675b700814b40b55aa4ec1f500",
+    "fig5": "e01640ad927a7410809fa85aebcf64fdb54f83fe1ee667e0aa466e5d3cdc6417",
+    "fig6": "9e81635d09431199ccdc37bb896ca7810f72d832e35782a305a8511f8ab6591a",
+    "dense-cell": "edee2b2847b5c75543f7e06bd0b55492878ff7ac9c5abc5e466e7fa43dc5bb0a",
+}
+
+
+@pytest.mark.parametrize("source", SYNTH_KEY_SHA256)
+def test_synthesis_seed_keys_unchanged(monkeypatch, source):
+    if source == "dense-cell":
+        config = harness.config_from_dict(load_bench(monkeypatch, "workloads").DENSE_CELL_CONFIG)
+    else:
+        config = harness.PRESETS[source]
+    keys = [harness._synth_key(desc) for _, desc, _ in harness.sweep_points(config)]
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == SYNTH_KEY_SHA256[source]
 
 
 @pytest.mark.parametrize("source", ["dense-cell", "fig5"])

@@ -290,21 +290,21 @@ def small_run_config(**changes):
                 (True, "sweep axis user_counts must be a list of integers, got [True, 6]"),
             )
         ),
-        # A given element area must be positive; 0 was replaced by the default.
+        # The element areas are fixed (stack.HOP): naming one is rejected.
         (
             "run",
             small_run_config(stack={**SMALL_STACK, "feed_element_area_wl2": 0}),
-            "feed_element_area_wl2 must be positive when given",
+            "unknown stack fields: feed_element_area_wl2",
         ),
         (
             "run",
             small_run_config(stack={**SMALL_STACK, "meta_element_area_wl2": -0.25}),
-            "meta_element_area_wl2 must be positive when given",
+            "unknown stack fields: meta_element_area_wl2",
         ),
         (
             "synth",
             {"stack": {**SMALL_STACK, "meta_element_area_wl2": 0}},
-            "meta_element_area_wl2 must be positive when given",
+            "unknown stack fields: meta_element_area_wl2",
         ),
         # A synthesis kind has no users or slots to sweep.
         (
@@ -366,8 +366,8 @@ def small_run_config(**changes):
         ),
         # A repeated sweep value ran its point twice and doubled its count.
         ("run", small_run_config(sweep={"user_counts": [6, 6]}), "sweep axis user_counts repeats 6"),
-        # Fields that restated another value: the carrier is the stack's
-        # frequency_hz, outputs go to --out, and the Armijo constant is fixed.
+        # Fields that restated another value: the carrier is fixed
+        # (stack.CARRIER_HZ), outputs go to --out, and the Armijo constant is fixed.
         (
             "run",
             small_run_config(scenario={"user_count": 6, "slot_count": 2, "carrier_hz": 28e9}),
@@ -401,13 +401,31 @@ def small_run_config(**changes):
             {"stack": SMALL_STACK, "pgd": {"relative_tolerance": 1e-8}},
             "unknown pgd fields: relative_tolerance",
         ),
+        # The carrier, the spacings, the element areas and the input layer's
+        # beta are fixed values too (stack.CARRIER_HZ, SPACING, HOP, BETA).
+        *(
+            (command, config, f"unknown stack fields: {field}")
+            for field, value in (
+                ("frequency_hz", 28e9),
+                ("element_spacing_wl", 0.5),
+                ("layer_separation_wl", 0.5),
+                ("feed_separation_wl", 0.5),
+                ("feed_element_area_wl2", None),
+                ("meta_element_area_wl2", None),
+                ("beta", 1.0),
+            )
+            for command, config in (
+                ("run", small_run_config(stack={**SMALL_STACK, field: value})),
+                ("synth", {"stack": {**SMALL_STACK, field: value}}),
+            )
+        ),
     ],
 )
 def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, config, message):
     config_file = tmp_path / "bad.json"
     config_file.write_text(json.dumps(config))
     result = runner.invoke(main, [command, str(config_file), "--out", str(tmp_path / "out")])
-    assert result.exit_code != 0
+    assert result.exit_code == 1
     assert message in result.output
     assert result.output.count("Error:") == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -9,7 +9,7 @@ from stacksim.downlink import BS_HEIGHT_M, INNER_RADIUS_M, OUTER_RADIUS_M, pathl
 from conftest import baseline_sinrs, beam_sinr_cdf, exhaustive_schedule, user_sinr
 
 
-WAVELENGTH = ss.SPEED_OF_LIGHT / 28e9
+WAVELENGTH = ss.SPEED_OF_LIGHT / 28e9  # the fixed carrier, stack.CARRIER_HZ
 
 
 def scenario(**overrides):
@@ -41,7 +41,7 @@ class TestScenario:
 class TestDropUsers:
     def test_distance_bounds(self):
         scen = scenario(user_count=2000)
-        users = ss.drop_users(scen, seed=1, fading_seed=11, output_size=9, wavelength=WAVELENGTH)
+        users = ss.drop_users(scen, seed=1, fading_seed=11, output_size=9)
         distances = users.distance
         assert np.all(distances >= math.sqrt(INNER_RADIUS_M**2 + BS_HEIGHT_M**2) - 1e-12)
         assert np.all(distances <= math.sqrt(OUTER_RADIUS_M**2 + BS_HEIGHT_M**2) + 1e-12)
@@ -49,13 +49,13 @@ class TestDropUsers:
 
     def test_fading_energy_normalized(self):
         scen = scenario(user_count=10_000)
-        users = ss.drop_users(scen, seed=2, fading_seed=12, output_size=9, wavelength=WAVELENGTH)
+        users = ss.drop_users(scen, seed=2, fading_seed=12, output_size=9)
         energy = np.mean(np.sum(np.abs(users.fading) ** 2, axis=1))
         assert 0.98 <= energy <= 1.02
 
     def test_planar_radius_cdf_uniform_by_area(self):
         scen = scenario(user_count=10_000)
-        users = ss.drop_users(scen, seed=3, fading_seed=13, output_size=4, wavelength=WAVELENGTH)
+        users = ss.drop_users(scen, seed=3, fading_seed=13, output_size=4)
         radii = np.linalg.norm(users.positions[:, :2], axis=1)
         transformed = (radii**2 - INNER_RADIUS_M**2) / (OUTER_RADIUS_M**2 - INNER_RADIUS_M**2)
         statistic = stats.kstest(transformed, "uniform").statistic
@@ -63,7 +63,7 @@ class TestDropUsers:
 
     def test_pathloss_formula(self):
         scen = scenario()
-        users = ss.drop_users(scen, seed=4, fading_seed=14, output_size=4, wavelength=WAVELENGTH)
+        users = ss.drop_users(scen, seed=4, fading_seed=14, output_size=4)
         for u in range(10):
             expected = (WAVELENGTH / (4 * math.pi * scen.reference_distance_m)) ** 2 * (
                 scen.reference_distance_m / users.distance[u]
@@ -72,11 +72,11 @@ class TestDropUsers:
 
     def test_deterministic_and_fading_stream_separable(self):
         scen = scenario(user_count=50)
-        a = ss.drop_users(scen, seed=7, fading_seed=17, output_size=4, wavelength=WAVELENGTH)
-        b = ss.drop_users(scen, seed=7, fading_seed=17, output_size=4, wavelength=WAVELENGTH)
+        a = ss.drop_users(scen, seed=7, fading_seed=17, output_size=4)
+        b = ss.drop_users(scen, seed=7, fading_seed=17, output_size=4)
         np.testing.assert_array_equal(a.fading, b.fading)
         np.testing.assert_array_equal(a.positions, b.positions)
-        c = ss.drop_users(scen, seed=7, fading_seed=123, output_size=4, wavelength=WAVELENGTH)
+        c = ss.drop_users(scen, seed=7, fading_seed=123, output_size=4)
         np.testing.assert_array_equal(a.distance, c.distance)
         assert not np.array_equal(a.fading[0], c.fading[0])
         prefix = a[:10]

@@ -94,9 +94,9 @@ class TestConfigIO:
     def test_field_types_checked(self):
         base = harness.config_to_dict(tiny_downlink_config())
         # A JSON integer is a number, and null is allowed where the field is optional.
-        stack = {**base["stack"], "beta": 1, "feed_element_area_wl2": None}
+        stack = {**base["stack"], "alpha_pc": 1, "ac_phase_seed": None}
         again = harness.config_from_dict({**base, "eta_feedback": 2, "stack": stack})
-        assert again.eta_feedback == 2 and again.stack.beta == 1
+        assert again.eta_feedback == 2 and again.stack.alpha_pc == 1 and again.stack.ac_phase_seed is None
         for mutation, message in (
             ({"trial_count": 2.0}, "config field trial_count must be an integer, got float"),
             ({"eta_feedback": True}, "config field eta_feedback must be a number, got bool"),
@@ -135,9 +135,9 @@ class TestValidation:
 
     def test_problem_of_every_point_reported_once(self):
         config = harness.with_overrides(harness.PRESETS["fig6"], scale=0.25)
-        config = dataclasses.replace(config, stack=dataclasses.replace(config.stack, beta=2.0))
+        config = dataclasses.replace(config, stack=dataclasses.replace(config.stack, alpha_pc=2.0))
         assert len(harness.sweep_points(config)) == 18
-        assert harness.validate_config(config) == ["beta must be in (0, 1], got 2.0"]
+        assert harness.validate_config(config) == ["alpha_pc must be in [0, 1], got 2.0"]
         # Every point has this one, but the unswept user_count is fine: the
         # prefix names the swept value at fault.
         config = harness.with_overrides(harness.PRESETS["fig5"], scale=0.25)
@@ -283,7 +283,6 @@ class TestRunExperiment:
                 ss.stream_seed(config.master_seed, "user-drop", trial),
                 ss.stream_seed(config.master_seed, "channels", trial, 9),
                 9,
-                config.stack.wavelength,
             )
             np.testing.assert_array_equal(pool.fading, expected.fading)
             np.testing.assert_array_equal(pool.positions, expected.positions)

@@ -51,16 +51,17 @@ class TestSlotPhases:
         np.testing.assert_array_equal(short, long[:2])
 
     def test_coefficients_use_beta_and_slot(self):
-        # The phases carry no beta: slot_response applies the stack's.
+        # The phases carry no beta: slot_response applies the stack's, fixed at 1.
         stack = ss.build_stack(
             ss.StackDescription(
                 input_shape=(2, 1), inner_shape=(2, 2), output_shape=(2, 1), ac_layers=1, pc_layers=2,
-                upa_shape=(1, 1), beta=0.7,
+                upa_shape=(1, 1),
             )
         )
+        assert stack.beta == 1.0
         phases = draw_slot_phases(2, stack.input_size, seed=0)
         g0, w1 = ss.compose_space_block(stack), stack.feed_matrix
-        expected = sum(g0[:, z] * 0.7 * np.exp(1j * phases[1, z]) * w1[z, 0] for z in range(stack.input_size))
+        expected = sum(g0[:, z] * np.exp(1j * phases[1, z]) * w1[z, 0] for z in range(stack.input_size))
         np.testing.assert_allclose(ss.slot_response(stack, phases[1])[:, 0], expected, rtol=1e-12)
 
     def test_invalid_counts_rejected(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stacksim as ss
+from stacksim.stack import WAVELENGTH
 from conftest import compose_by_path_sum, randomize_stack, small_stack
 
 
@@ -54,7 +55,7 @@ class TestBuild:
         assert len(inner_hops) == 3  # four inner layers
         assert all(m is inner_hops[0] for m in inner_hops)
         assert not any(m.flags.writeable for m in tails)
-        lam = desc.wavelength
+        lam = WAVELENGTH
         params = ss.KernelParams(lam, (0.5 * lam) ** 2, 0.5 * lam)
         shapes = [desc.input_shape] + [desc.inner_shape] * 4 + [desc.output_shape]
         for matrix, src, dst in zip(tails, shapes[:-1], shapes[1:], strict=True):
@@ -106,30 +107,6 @@ class TestBuild:
                     upa_shape=(2, 2),
                 )
             )
-
-    @pytest.mark.parametrize("name", ["feed_element_area_wl2", "meta_element_area_wl2"])
-    @pytest.mark.parametrize("area", [0.0, -0.25])
-    def test_non_positive_element_area_rejected(self, name, area):
-        # An area of 0 was silently replaced by the default; a negative one
-        # failed in the kernel's parameter check.
-        desc = ss.StackDescription(
-            input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=1, pc_layers=1, **{name: area}
-        )
-        assert desc.validate() == [f"{name} must be positive when given"]
-        with pytest.raises(ss.ConfigurationError, match=f"{name} must be positive"):
-            ss.build_stack(desc)
-
-    def test_given_element_area_used(self):
-        default = ss.build_stack(
-            ss.StackDescription(input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=1, pc_layers=1)
-        )
-        doubled = ss.build_stack(
-            ss.StackDescription(
-                input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=1, pc_layers=1,
-                feed_element_area_wl2=0.5,
-            )
-        )
-        np.testing.assert_allclose(doubled.feed_matrix, 2.0 * default.feed_matrix, rtol=1e-12)
 
     def test_description_round_trip_and_unknown_fields(self):
         desc = ss.StackDescription(
