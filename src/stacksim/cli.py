@@ -5,15 +5,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
 
 from . import harness
-from .errors import ValidationError, read_object
-from .pgd import constraint_deviation, write_trace_csv
-from .stack import StackDescription, build_stack
+from .errors import ValidationError
 
 
 @click.group()
@@ -96,56 +93,6 @@ for _name in harness.PRESETS:
 def run(config_file, out, **flags) -> None:
     """Run a custom experiment from a JSON config file."""
     _execute(lambda: harness.config_from_dict(json.loads(Path(config_file).read_text())), out, **flags)
-
-
-@dataclass(frozen=True)
-class _SynthConfig:
-    """A ``synth`` config: a stack, its ``pgd`` block and the master seed."""
-
-    stack: dict
-    pgd: dict = field(default_factory=dict)
-    master_seed: int = 0
-
-
-@main.command()
-@click.argument("config_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=None, help="Overrides the config's seed.")
-@click.option("--out", type=click.Path(), default=None, help="Output directory.")
-def synth(config_file, seed, out) -> None:
-    """One synthesis run from a config file holding at least a "stack" object.
-
-    Besides the stack, the file may hold only a "pgd" block and a "master_seed";
-    a full experiment config is the input of run. Writes the per-iteration
-    trace CSV and a JSON summary of the outcome.
-    """
-    try:
-        data = json.loads(Path(config_file).read_text())
-        config = _SynthConfig(**read_object("synth config", data, _SynthConfig))
-        stack_desc = StackDescription(**read_object("stack", config.stack, StackDescription))
-        pgd_overrides = harness.check_pgd_block(config.pgd)
-        master = config.master_seed if seed is None else seed
-        stack = build_stack(stack_desc)
-        state = harness.synthesize(stack, pgd_overrides, master, trial=0)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-    out_dir = Path(out) if out else Path("results") / "synth"
-    write_trace_csv(state, out_dir / "pgd_trace.csv")
-    summary = {
-        "stack": stack_desc.to_dict(),
-        "pgd": pgd_overrides,
-        "master_seed": master,
-        "final_objective": state.final_objective,
-        "final_objective_db": state.final_objective_db,
-        "iterations": state.iteration,
-        "converged": state.converged,
-        "power_constraint_deviation": constraint_deviation(stack),
-    }
-    (out_dir / "synth_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    click.echo(
-        f"final objective {state.final_objective_db:.2f} dB after {state.iteration} iterations; "
-        f"wrote {out_dir / 'pgd_trace.csv'}"
-    )
 
 
 if __name__ == "__main__":

@@ -311,7 +311,7 @@ def _synth_key(desc: StackDescription) -> str:
 
 def synthesize(stack: SimStack, pgd_overrides: dict, master_seed: int, trial: int) -> PgdState:
     """Synthesize ``stack`` toward the trial's random target; the one synthesis
-    entry point of experiments and the ``synth`` command.
+    entry point of experiments.
 
     The target and the optimizer's initial phases come from the "target" and
     "pgd-init" substreams of ``master_seed``, keyed by the trial and the stack
@@ -395,6 +395,7 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
                         state.apply_to(stack)
                     metrics["objective_db"] = state.final_objective_db
                     metrics["pgd_iterations"] = float(state.iteration)
+                    metrics["pgd_converged"] = 1.0 if state.converged else 0.0
                     metrics["power_constraint_deviation"] = constraint_deviation(stack)
 
                     if downlink:

@@ -125,7 +125,8 @@ class PgdState:
     its amplitudes, as :meth:`SimStack.tunable`), keyed by cascade layer
     position (2..L). ``accepted_steps[k, i]`` is the accepted step size of the
     i-th space-coded layer at iteration k (NaN if the layer was frozen that
-    iteration).
+    iteration). ``evaluations`` counts the layer-objective evaluations: one
+    Armijo base per layer visit plus every line-search candidate tested.
     """
 
     values: dict[int, np.ndarray]
@@ -135,6 +136,7 @@ class PgdState:
     target_norm_sq: float
     converged: bool
     frozen_events: int = 0
+    evaluations: int = 0
 
     @property
     def final_objective(self) -> float:
@@ -291,7 +293,7 @@ def run_pgd(
     trace = [f_current]
     step_log: list[np.ndarray] = []
     last_step = [config.initial_step / config.step_growth] * n_layers
-    frozen_events = 0
+    frozen_events = evaluations = 0
     converged = False
 
     for _ in range(config.max_iterations):
@@ -309,6 +311,7 @@ def run_pgd(
             grad = _layer_gradient(e_factor, b_factor, gammas[pos], target.entries, amplitudes, bounds[0])
             grad_norm_sq = float(grad @ grad)
             f_base = f_next = _layer_objective(e_factor, b_factor, gammas[pos], target.entries)
+            evaluations += 1
             step = last_step[pos] * config.step_growth
             for _attempt in range(config.max_backtracks + 1):
                 if phase_tunable:
@@ -320,6 +323,7 @@ def run_pgd(
                     cand_gamma = cand * np.exp(1j * phases[pos])
                     bound = f_base + ARMIJO_CONSTANT * float(grad @ (cand - amps[pos]))
                 f_new = _layer_objective(e_factor, b_factor, cand_gamma, target.entries)
+                evaluations += 1
                 if f_new <= bound:
                     (phases if phase_tunable else amps)[pos] = cand
                     gammas[pos] = cand_gamma
@@ -362,6 +366,7 @@ def run_pgd(
         target_norm_sq=target.norm_sq,
         converged=converged,
         frozen_events=frozen_events,
+        evaluations=evaluations,
     )
     state.apply_to(stack)
     return state

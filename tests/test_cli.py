@@ -1,3 +1,4 @@
+import csv
 import json
 
 import click
@@ -7,6 +8,8 @@ from click.testing import CliRunner
 import stacksim as ss
 from stacksim import harness
 from stacksim.cli import main
+from stacksim.pgd import write_trace_csv
+from stacksim.stack import build_stack
 
 
 @pytest.fixture()
@@ -72,30 +75,42 @@ def test_run_reports_validation_errors(runner, tmp_path):
     assert "must match the stack's antenna count" in result.output
 
 
+BARE_STACK = {
+    "input_shape": [2, 2],
+    "inner_shape": [3, 3],
+    "output_shape": [3, 3],
+    "ac_layers": 1,
+    "pc_layers": 2,
+    "upa_shape": [2, 2],
+}
+
+
+def synth_config(stack, pgd=None, **changes):
+    """A single synthesis as a run config: one synth_convergence point of one
+    trial. Synthesis never reads the scenario, so it holds only the required field."""
+    config = {
+        "kind": "synth_convergence",
+        "stack": stack,
+        "scenario": {"user_count": 1},
+        "sweep": {},
+        "trial_count": 1,
+        "pgd": pgd or {},
+    }
+    return {**config, **changes}
+
+
 def test_synth_from_bare_stack_config(runner, tmp_path):
     config_file = tmp_path / "synth.json"
-    config_file.write_text(
-        json.dumps(
-            {
-                "stack": {
-                    "input_shape": [2, 2],
-                    "inner_shape": [3, 3],
-                    "output_shape": [3, 3],
-                    "ac_layers": 1,
-                    "pc_layers": 2,
-                    "upa_shape": [2, 2],
-                },
-                "pgd": {"max_iterations": 25},
-            }
-        )
-    )
+    config_file.write_text(json.dumps(synth_config(BARE_STACK, {"max_iterations": 25})))
     out = tmp_path / "synth"
-    result = runner.invoke(main, ["synth", str(config_file), "--seed", "5", "--out", str(out)])
+    result = runner.invoke(main, ["run", str(config_file), "--seed", "5", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    summary = json.loads((out / "synth_summary.json").read_text())
-    assert summary["iterations"] <= 25
-    assert (out / "pgd_trace.csv").exists()
-    assert "final objective" in result.output
+    assert [path.name for path in out.glob("trace_*.csv")] == ["trace_base_trial0.csv"]
+    with open(out / "results.csv", newline="") as fh:
+        metrics = {row["metric"]: float(row["value"]) for row in csv.DictReader(fh)}
+    assert metrics["pgd_iterations"] <= 25
+    assert metrics["pgd_converged"] in (0.0, 1.0)
+    assert "objective_db (median over trials):" in result.output
 
 
 @pytest.mark.parametrize(
@@ -106,16 +121,8 @@ def test_synth_rejects_bad_pgd_block(runner, tmp_path, pgd, message):
     # An unknown field crashed with a TypeError; a seed was echoed to the
     # summary but overridden by the derived "pgd-init" seed.
     config_file = tmp_path / "synth.json"
-    stack = {
-        "input_shape": [2, 2],
-        "inner_shape": [3, 3],
-        "output_shape": [3, 3],
-        "ac_layers": 1,
-        "pc_layers": 2,
-        "upa_shape": [2, 2],
-    }
-    config_file.write_text(json.dumps({"stack": stack, "pgd": pgd}))
-    result = runner.invoke(main, ["synth", str(config_file), "--out", str(tmp_path / "synth")])
+    config_file.write_text(json.dumps(synth_config(BARE_STACK, pgd)))
+    result = runner.invoke(main, ["run", str(config_file), "--out", str(tmp_path / "synth")])
     assert result.exit_code != 0
     assert message in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -164,11 +171,6 @@ def test_cli_surface(runner):
         "fig5": ((), DOWNLINK_OPTIONS, "Time-averaged sum rate vs user count, against the full-feedback baseline."),
         "fig6": ((), DOWNLINK_OPTIONS, "Fairness vs user count for several slot counts."),
         "run": (("config_file",), DOWNLINK_OPTIONS, "Run a custom experiment from a JSON config file."),
-        "synth": (
-            ("config_file",),
-            {"--seed": None, "--out": None},
-            'One synthesis run from a config file holding at least a "stack" object.',
-        ),
     }
     assert set(main.commands) == set(expected)
     for name, (arguments, options, help_line) in expected.items():
@@ -180,15 +182,7 @@ def test_cli_surface(runner):
     assert result.exit_code == 2 and "No such option '--eta'" in result.output
 
 
-SMALL_STACK = {
-    "input_shape": [2, 2],
-    "inner_shape": [3, 3],
-    "output_shape": [3, 3],
-    "ac_layers": 1,
-    "pc_layers": 2,
-    "upa_shape": [2, 2],
-    "slot_count": 2,
-}
+SMALL_STACK = {**BARE_STACK, "slot_count": 2}
 NO_AC_LAYERS = {k: v for k, v in SMALL_STACK.items() if k != "ac_layers"}
 
 
@@ -204,8 +198,10 @@ def small_run_config(**changes):
     return {**config, **changes}
 
 
+# Each case is read by run, in one of two forms: "run", a downlink experiment
+# config, or "synth", a single synthesis (synth_config).
 @pytest.mark.parametrize(
-    "command, config, message",
+    "form, config, message",
     [
         ("run", small_run_config(stack=NO_AC_LAYERS), "missing stack fields: ac_layers"),
         ("run", small_run_config(scenario={"slot_count": 2}), "missing scenario fields: user_count"),
@@ -223,12 +219,12 @@ def small_run_config(**changes):
             small_run_config(stack={**SMALL_STACK, "slot_count": 3}),
             "scenario slot_count (2) must match the stack's slot_count (3)",
         ),
-        ("synth", {"stack": NO_AC_LAYERS}, "missing stack fields: ac_layers"),
+        ("synth", synth_config(NO_AC_LAYERS), "missing stack fields: ac_layers"),
         # The amplitude range is the stack's alone; a pgd block cannot set one.
         ("run", small_run_config(pgd={"alpha_max": 100.0}), "unknown pgd fields: alpha_max"),
-        ("synth", {"stack": SMALL_STACK, "pgd": {"alpha_min": 5.0}}, "unknown pgd fields: alpha_min"),
+        ("synth", synth_config(SMALL_STACK, {"alpha_min": 5.0}), "unknown pgd fields: alpha_min"),
         # The pgd block is checked in full when read.
-        ("synth", {"stack": SMALL_STACK, "pgd": {"max_iterations": 0}}, "pgd: max_iterations must be at least 1"),
+        ("synth", synth_config(SMALL_STACK, {"max_iterations": 0}), "pgd: max_iterations must be at least 1"),
         # A value of the wrong JSON type; true is not an integer.
         (
             "run",
@@ -247,21 +243,21 @@ def small_run_config(**changes):
         ),
         (
             "synth",
-            {"stack": SMALL_STACK, "pgd": {"max_iterations": "5"}},
+            synth_config(SMALL_STACK, {"max_iterations": "5"}),
             "pgd field max_iterations must be an integer, got str",
         ),
         # A grid shape is a list of exactly two integers, never truncated.
         *(
-            (command, config, f"stack field {field} must be a list of two integers, got {got}")
+            (form, config, f"stack field {field} must be a list of two integers, got {got}")
             for field, shape, got in (
                 ("input_shape", 3, "int"),
                 ("upa_shape", [2, 2, 2], "[2, 2, 2]"),
                 ("inner_shape", [2.7, 2], "[2.7, 2]"),
                 ("output_shape", [True, 3], "[true, 3]"),
             )
-            for command, config in (
+            for form, config in (
                 ("run", small_run_config(stack={**SMALL_STACK, field: shape})),
-                ("synth", {"stack": {**SMALL_STACK, field: shape}}),
+                ("synth", synth_config({**SMALL_STACK, field: shape})),
             )
         ),
         # Each sweep point is validated as it runs: -5 ran on a slice of the
@@ -303,7 +299,7 @@ def small_run_config(**changes):
         ),
         (
             "synth",
-            {"stack": {**SMALL_STACK, "meta_element_area_wl2": 0}},
+            synth_config({**SMALL_STACK, "meta_element_area_wl2": 0}),
             "unknown stack fields: meta_element_area_wl2",
         ),
         # A synthesis kind has no users or slots to sweep.
@@ -375,9 +371,9 @@ def small_run_config(**changes):
         ),
         ("run", small_run_config(output_path="elsewhere"), "unknown config fields: output_path"),
         ("run", small_run_config(pgd={"armijo_constant": 1e-4}), "unknown pgd fields: armijo_constant"),
-        ("synth", {"stack": SMALL_STACK, "pgd": {"armijo_constant": 1e-4}}, "unknown pgd fields: armijo_constant"),
-        # synth reads a stack, a pgd block and a master seed; a full experiment config is run's input.
-        ("synth", small_run_config(), "unknown synth config fields: kind, scenario, sweep, trial_count"),
+        ("synth", synth_config(SMALL_STACK, {"armijo_constant": 1e-4}), "unknown pgd fields: armijo_constant"),
+        # A single synthesis still carries the placeholder scenario's one required field.
+        ("synth", synth_config(SMALL_STACK, scenario={}), "missing scenario fields: user_count"),
         # The cell, the link budget and PGD's stopping tolerance are fixed
         # values: naming one is rejected, even at its fixed value.
         *(
@@ -398,13 +394,13 @@ def small_run_config(**changes):
         ("run", small_run_config(pgd={"relative_tolerance": 1e-8}), "unknown pgd fields: relative_tolerance"),
         (
             "synth",
-            {"stack": SMALL_STACK, "pgd": {"relative_tolerance": 1e-8}},
+            synth_config(SMALL_STACK, {"relative_tolerance": 1e-8}),
             "unknown pgd fields: relative_tolerance",
         ),
         # The carrier, the spacings, the element areas and the input layer's
         # beta are fixed values too (stack.CARRIER_HZ, SPACING, HOP, BETA).
         *(
-            (command, config, f"unknown stack fields: {field}")
+            (form, config, f"unknown stack fields: {field}")
             for field, value in (
                 ("frequency_hz", 28e9),
                 ("element_spacing_wl", 0.5),
@@ -414,17 +410,17 @@ def small_run_config(**changes):
                 ("meta_element_area_wl2", None),
                 ("beta", 1.0),
             )
-            for command, config in (
+            for form, config in (
                 ("run", small_run_config(stack={**SMALL_STACK, field: value})),
-                ("synth", {"stack": {**SMALL_STACK, field: value}}),
+                ("synth", synth_config({**SMALL_STACK, field: value})),
             )
         ),
     ],
 )
-def test_malformed_config_exits_with_one_error_line(runner, tmp_path, command, config, message):
+def test_malformed_config_exits_with_one_error_line(runner, tmp_path, form, config, message):
     config_file = tmp_path / "bad.json"
     config_file.write_text(json.dumps(config))
-    result = runner.invoke(main, [command, str(config_file), "--out", str(tmp_path / "out")])
+    result = runner.invoke(main, ["run", str(config_file), "--out", str(tmp_path / "out")])
     assert result.exit_code == 1
     assert message in result.output
     assert result.output.count("Error:") == 1
@@ -470,30 +466,17 @@ def test_invalid_config_rejected_before_scale(runner, tmp_path, config, message)
 
 
 def test_synth_matches_experiment_trial_zero(runner, tmp_path):
-    stack = ss.StackDescription(
-        input_shape=(2, 2), inner_shape=(3, 3), output_shape=(3, 3), ac_layers=1, pc_layers=2, upa_shape=(2, 2)
-    )
+    # A single synthesis run writes the trace of harness.synthesize at trial 0.
     pgd = {"max_iterations": 25}
     config_file = tmp_path / "synth.json"
-    config_file.write_text(json.dumps({"stack": stack.to_dict(), "pgd": pgd, "master_seed": 5}))
+    config_file.write_text(json.dumps(synth_config(BARE_STACK, pgd, master_seed=5)))
     out = tmp_path / "synth"
-    result = runner.invoke(main, ["synth", str(config_file), "--out", str(out)])
+    result = runner.invoke(main, ["run", str(config_file), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    summary = json.loads((out / "synth_summary.json").read_text())
 
-    records = harness.run_experiment(
-        harness.ExperimentConfig(
-            kind=harness.ExperimentKind.SYNTH_CONVERGENCE,
-            stack=stack,
-            scenario=ss.DownlinkScenario(user_count=1),
-            sweep=harness.SweepAxes(),
-            trial_count=1,
-            master_seed=5,
-            pgd=pgd,
-        )
-    )
-    (objective,) = [r.value for r in records if r.metric == "objective_db"]
-    assert summary["final_objective_db"] == objective
+    stack = build_stack(ss.StackDescription(**BARE_STACK))
+    write_trace_csv(harness.synthesize(stack, pgd, 5, 0), tmp_path / "direct.csv")
+    assert (out / "trace_base_trial0.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 def test_fig5_scaled_smoke(runner, tmp_path):

@@ -348,6 +348,36 @@ class TestRunPgd:
             results.append(ss.run_pgd(stack, target, ss.PgdConfig(max_iterations=25, seed=8)).objective_trace)
         np.testing.assert_array_equal(results[0], results[1])
 
+    @pytest.mark.parametrize(
+        "overrides, freezes",
+        [
+            ({}, False),
+            ({"backtracking_contraction": 0.3, "step_growth": 2.5}, False),
+            # Long first steps with few backtracks: some visits freeze, others accept.
+            ({"initial_step": 10.0, "max_backtracks": 3}, True),
+        ],
+    )
+    def test_evaluations_count_every_layer_objective_call(self, monkeypatch, overrides, freezes):
+        # One Armijo base per layer visit, then one call per line-search candidate.
+        calls = []
+        original = pgd._layer_objective
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(pgd, "_layer_objective", counting)
+        stack = ss.build_stack(
+            ss.StackDescription(
+                input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=1, pc_layers=2,
+                upa_shape=(1, 1), slot_count=1,
+            )
+        )
+        target = ss.generate_target(stack.input_size, stack.output_size, stack.beta, stack.w1_frobenius, 11)
+        state = ss.run_pgd(stack, target, ss.PgdConfig(max_iterations=40, seed=3, **overrides))
+        assert state.evaluations == len(calls) > state.accepted_steps.size
+        assert (state.frozen_events > 0) == freezes
+
 
 class TestTraceFile:
     def test_trace_csv_layout(self, tmp_path):

@@ -9,12 +9,15 @@ files are paired by their path relative to the directory:
 - ``results.csv``: one record per row, grouped by its ``metric`` column and
   compared on every column except ``elapsed_s``, the only one that depends
   on the machine;
-- ``trace_*.csv`` and ``pgd_trace.csv``: one record per cell, grouped by
-  column;
-- ``summary.json`` and ``synth_summary.json``: one record per leaf, grouped
-  by its key path. Neither holds a timing: ``summary.json`` is the summary
-  table plus the resolved config, so a change in how a config is resolved
-  shows here.
+- ``trace_*.csv``: one record per cell, grouped by column;
+- ``summary.json``: one record per leaf, grouped by its key path. It holds
+  no timing: it is the summary table plus the resolved config, so a change
+  in how a config is resolved shows here.
+
+Rows of ``results.csv`` and of the summary table are paired by their sweep
+point and metric (results rows also by their order within that pair, which
+is the trial order), not by position in the file, so a metric added on one
+side shows as that metric's records alone.
 
 For every group with a difference it prints the number of differing records
 and the largest relative difference (``inf`` where a value is not a number or
@@ -33,8 +36,12 @@ from collections import defaultdict
 from itertools import zip_longest
 from pathlib import Path
 
-PATTERNS = ("results.csv", "trace_*.csv", "pgd_trace.csv", "summary.json", "synth_summary.json")
+PATTERNS = ("results.csv", "trace_*.csv", "summary.json")
 IGNORED_COLUMNS = {"elapsed_s"}
+# The columns of a results.csv row that are not its sweep point.
+RESULT_COLUMNS = {"experiment", "metric", "value", "seed", "elapsed_s"}
+# The statistics of a summary row; its other keys are its sweep point and metric.
+SUMMARY_STATISTICS = {"count", "median", "mean", "p10", "p90", "flagged"}
 MISSING = "<missing>"
 
 
@@ -63,38 +70,55 @@ def flatten(value, prefix: str = "") -> dict[str, str]:
     return out
 
 
+def summary_leaves(path: Path) -> dict[str, str]:
+    """``flatten`` of a ``summary.json``, each summary row keyed by its sweep point and metric."""
+    payload = json.loads(path.read_text())
+    rows = {}
+    for row in payload.get("summary", []):
+        point = [f"{k}={row[k]}" for k in sorted(row) if k not in SUMMARY_STATISTICS and k != "metric"]
+        rows[",".join([*point, f"metric={row['metric']}"])] = {k: row[k] for k in row if k in SUMMARY_STATISTICS}
+    return flatten({**payload, "summary": rows})
+
+
 def csv_records(path: Path):
-    """Yield ``(group, cells)`` for the header and every record of a CSV file, in order."""
+    """Yield ``(key, group, cells)`` for the header and every record of a CSV file."""
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh))
-    yield "<header>", header
+    yield "<header>", "<header>", header
     kept = [i for i, name in enumerate(header) if name not in IGNORED_COLUMNS]
     if "metric" in header:
         metric = header.index("metric")
+        point = [i for i, name in enumerate(header) if name not in RESULT_COLUMNS]
+        seen: dict[tuple, int] = defaultdict(int)
         for row in rows:
-            yield row[metric], [row[i] for i in kept]
+            at = (row[metric], *(row[i] for i in point))
+            seen[at] += 1
+            yield (*at, seen[at]), row[metric], [row[i] for i in kept]
     else:
-        for row in rows:
+        for n, row in enumerate(rows):
             for i in kept:
-                yield header[i], [row[i]]
+                yield (n, i), header[i], [row[i]]
+
+
+def file_records(path: Path) -> dict:
+    """``{key: (group, cells)}`` for every record of an output file."""
+    if path.suffix == ".json":
+        return {key: (key, [text]) for key, text in summary_leaves(path).items()}
+    return {key: (group, cells) for key, group, cells in csv_records(path)}
 
 
 def compare_files(parent: Path, change: Path) -> dict[str, list]:
     """Per group: [differing records, largest relative difference]."""
     stats: dict[str, list] = defaultdict(lambda: [0, 0.0])
-    if parent.suffix == ".json":
-        leaves_p, leaves_c = (flatten(json.loads(path.read_text())) for path in (parent, change))
-        keys = sorted(leaves_p.keys() | leaves_c.keys())
-        pairs = (((k, [leaves_p.get(k, MISSING)]), (k, [leaves_c.get(k, MISSING)])) for k in keys)
-    else:
-        pairs = zip_longest(csv_records(parent), csv_records(change), fillvalue=(None, [MISSING]))
-    for (group_p, cells_p), (group_c, cells_c) in pairs:
-        if group_p != group_c or cells_p != cells_c:
-            entry = stats[group_p if group_p is not None else group_c]
+    records_p, records_c = file_records(parent), file_records(change)
+    for key in records_p.keys() | records_c.keys():
+        group_p, cells_p = records_p.get(key, (None, [MISSING]))
+        group_c, cells_c = records_c.get(key, (None, [MISSING]))
+        if cells_p != cells_c:
+            entry = stats[group_p or group_c]
             entry[0] += 1
             cells = zip_longest(cells_p, cells_c, fillvalue=MISSING)
-            worst = max((relative_difference(a, b) for a, b in cells if a != b), default=0.0)
-            entry[1] = max(entry[1], worst if group_p == group_c else math.inf)
+            entry[1] = max(entry[1], *(relative_difference(a, b) for a, b in cells if a != b))
     return stats
 
 

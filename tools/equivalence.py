@@ -17,8 +17,8 @@ trial's user pool serves points with different stacks), ``run`` on
 ``NARROW_INPUT_SCALE`` under ``--scale`` (a 1x8 input layer that ``--scale``
 must not widen), ``run`` on ``NON_SQUARE_INNER_SCALE`` under ``--scale`` (a
 2x19 inner layer whose short side is below the longest boundary side), and
-``synth`` on the bare-stack configs ``BARE_SYNTH`` (the
-default amplitude range), ``BARE_SYNTH_RANGE`` (a narrow one),
+``run`` on the one-point synthesis configs ``BARE_SYNTH`` (the default
+amplitude range), ``BARE_SYNTH_RANGE`` (a narrow one),
 ``BARE_SYNTH_CENTERED`` (grids aligned by their centers) and
 ``BARE_SYNTH_AC_PHASES`` (nonzero fixed AC phases, a range above 1); the
 configs are written to OUT_DIR. The exit status is 0 only when every command
@@ -37,17 +37,32 @@ from pathlib import Path
 
 COMPARE = Path(__file__).resolve().with_name("compare_outputs.py")
 
+
+def one_point_synthesis(stack: dict, max_iterations: int, master_seed: int) -> dict:
+    """A single synthesis as a ``run`` config: trial 0 of one ``synth_convergence``
+    point. Synthesis never reads the scenario, so it holds the one required field."""
+    return {
+        "kind": "synth_convergence",
+        "stack": stack,
+        "scenario": {"user_count": 1},
+        "sweep": {},
+        "trial_count": 1,
+        "master_seed": master_seed,
+        "pgd": {"max_iterations": max_iterations},
+    }
+
+
 # Q=25, one amplitude-controlled and three phase-controlled layers.
-BARE_SYNTH = {
-    "stack": {"input_shape": [3, 3], "inner_shape": [5, 5], "output_shape": [3, 3], "ac_layers": 1, "pc_layers": 3},
-    "pgd": {"max_iterations": 300},
-    "master_seed": 4,
-}
+BARE_SYNTH = one_point_synthesis(
+    {"input_shape": [3, 3], "inner_shape": [5, 5], "output_shape": [3, 3], "ac_layers": 1, "pc_layers": 3},
+    max_iterations=300,
+    master_seed=4,
+)
 
 # Q=36, two amplitude-controlled layers (one of them the output layer) held
 # to a -6..6 dB range instead of the default -22..13 dB.
-BARE_SYNTH_RANGE = {
-    "stack": {
+BARE_SYNTH_RANGE = one_point_synthesis(
+    {
         "input_shape": [2, 2],
         "inner_shape": [6, 6],
         "output_shape": [3, 3],
@@ -57,14 +72,14 @@ BARE_SYNTH_RANGE = {
         "alpha_min_db": -6.0,
         "alpha_max_db": 6.0,
     },
-    "pgd": {"max_iterations": 200},
-    "master_seed": 9,
-}
+    max_iterations=200,
+    master_seed=9,
+)
 
 # Q=36, grids aligned by their centers: odd input and even inner sides give
 # half-integer in-plane offsets between them.
-BARE_SYNTH_CENTERED = {
-    "stack": {
+BARE_SYNTH_CENTERED = one_point_synthesis(
+    {
         "input_shape": [3, 3],
         "inner_shape": [6, 6],
         "output_shape": [2, 2],
@@ -72,14 +87,14 @@ BARE_SYNTH_CENTERED = {
         "pc_layers": 2,
         "centered_alignment": True,
     },
-    "pgd": {"max_iterations": 200},
-    "master_seed": 5,
-}
+    max_iterations=200,
+    master_seed=5,
+)
 
 # Q=25, two amplitude-controlled layers with nonzero fixed phases, held to a
 # 2..10 dB range that excludes the amplitude 1 they start from.
-BARE_SYNTH_AC_PHASES = {
-    "stack": {
+BARE_SYNTH_AC_PHASES = one_point_synthesis(
+    {
         "input_shape": [3, 3],
         "inner_shape": [5, 5],
         "output_shape": [3, 3],
@@ -89,9 +104,9 @@ BARE_SYNTH_AC_PHASES = {
         "alpha_min_db": 2.0,
         "alpha_max_db": 10.0,
     },
-    "pgd": {"max_iterations": 200},
-    "master_seed": 6,
-}
+    max_iterations=200,
+    master_seed=6,
+)
 
 # One downlink experiment with no swept axis, so it runs the config's own
 # stack and scenario: Q=36, 1 AC + 3 PC layers, 30 users, 2 slots, 2 trials.
@@ -194,10 +209,10 @@ BATTERY = {
     "non-square-scale": ["run", "{non_square_scale}", "--scale", "0.25"],
     "narrow-input-scale": ["run", "{narrow_input_scale}", "--scale", "0.25"],
     "non-square-inner-scale": ["run", "{non_square_inner_scale}", "--scale", "0.25"],
-    "synth": ["synth", "{bare_synth}"],
-    "synth-range": ["synth", "{bare_synth_range}"],
-    "synth-centered": ["synth", "{bare_synth_centered}"],
-    "synth-ac-phases": ["synth", "{bare_synth_ac_phases}"],
+    "synth": ["run", "{bare_synth}"],
+    "synth-range": ["run", "{bare_synth_range}"],
+    "synth-centered": ["run", "{bare_synth_centered}"],
+    "synth-ac-phases": ["run", "{bare_synth_ac_phases}"],
 }
 
 
