@@ -51,7 +51,7 @@ from .pgd import (
     run_pgd,
     write_trace_csv,
 )
-from .propagation import SPEED_OF_LIGHT, KernelParams, build_propagation_matrix, rs_kernel
+from .propagation import SPEED_OF_LIGHT, build_propagation_matrix, rs_kernel
 from .randomizer import draw_slot_phases, stream_seed
 from .stack import (
     LayerKind,

@@ -41,6 +41,10 @@ def _preset_options(downlink: bool):
     return wrap
 
 
+# Metrics whose medians the console prints, by whether the run serves users.
+_HEADLINES = {True: ("ta_sum_rate", "fairness_per_slot", "fairness_coherence"), False: ("objective_db",)}
+
+
 def _execute(load, out: str | None, seed, trials, scale, eta=None, d0=None) -> None:
     """The presets' and ``run``'s one path: run ``load()`` with the flags applied and
     write its results to ``out``, else ``results/<kind>``."""
@@ -57,7 +61,7 @@ def _execute(load, out: str | None, seed, trials, scale, eta=None, d0=None) -> N
     harness.write_summary_json(records, config, out_dir / "summary.json")
 
     summary = harness.summarize(records)
-    for headline in config.kind.headlines:
+    for headline in _HEADLINES[config.kind.downlink]:
         rows = [r for r in summary if r.get("metric") == headline]
         if rows:
             keys = [k for k, _ in records[0].sweep]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .stack import WAVELENGTH
+from .propagation import WAVELENGTH
 
 __all__ = [
     "UNSERVED",
@@ -54,7 +54,7 @@ NOISE_OVER_ENERGY = 10.0 ** ((-174.0 + 10.0 * math.log10(10e6) - 15.0) / 10.0)
 @dataclass(frozen=True)
 class DownlinkScenario:
     """User count and schedule shape of one simulation, and the path-loss law.
-    The carrier (:data:`stack.CARRIER_HZ`), the cell and the link budget
+    The carrier (:data:`propagation.CARRIER_HZ`), the cell and the link budget
     (:data:`NOISE_OVER_ENERGY`) are fixed.
 
     The path-loss exponent defaults to 3.2 (3GPP UMi NLOS at 28 GHz); the
@@ -138,7 +138,7 @@ def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_s
     Positions come from the first child stream of ``seed``, fading from
     ``fading_seed``, so the two draws are independent. ``output_size`` is the
     fading vector length, the stack's output layer size. The path loss is at
-    the carrier wavelength :data:`stack.WAVELENGTH`.
+    the carrier wavelength :data:`propagation.WAVELENGTH`.
     """
     pos_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     fad_rng = np.random.default_rng(fading_seed)

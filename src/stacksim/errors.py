@@ -16,8 +16,8 @@ class ValidationError(ValueError):
 # JSON value types accepted for each scalar field annotation, and their names;
 # a ``tuple[int, int]`` grid shape must be a list of two integers, and other
 # annotations (enums, nested sections) are left to their readers.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "dict": (dict,)}
-_NAMES = {"int": "an integer", "float": "a number", "str": "a string", "bool": "a boolean", "dict": "a JSON object"}
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "dict": (dict,)}
+_NAMES = {"int": "an integer", "float": "a number", "bool": "a boolean", "dict": "a JSON object"}
 
 
 def read_object(section: str, data, cls) -> dict:

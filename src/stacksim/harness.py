@@ -81,12 +81,6 @@ class ExperimentKind(str, Enum):
         """Whether the kind serves users: every kind but the two synthesis sweeps."""
         return self not in (ExperimentKind.SYNTH_SWEEP_LAYERS, ExperimentKind.SYNTH_CONVERGENCE)
 
-    @property
-    def headlines(self) -> tuple[str, ...]:
-        """Metrics whose medians the console prints."""
-        fairness = ("fairness_per_slot", "fairness_coherence")
-        return {"sumrate_vs_users": ("ta_sum_rate",), "fairness_vs_users": fairness}.get(self.value, ("objective_db",))
-
 
 @dataclass(frozen=True)
 class SweepAxes:
@@ -133,10 +127,13 @@ class SweepAxes:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. A synthesis kind never reads ``scenario``, so its config
+    may omit it; a downlink kind's config must give one."""
+
     kind: ExperimentKind
     stack: StackDescription
-    scenario: DownlinkScenario
     sweep: SweepAxes
+    scenario: DownlinkScenario = DownlinkScenario(user_count=1)
     trial_count: int = 1
     master_seed: int = 0
     eta_feedback: float = 1.0
@@ -171,7 +168,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     data = read_object("config", data, ExperimentConfig)
     data["kind"] = ExperimentKind(data["kind"])
     data["stack"] = StackDescription(**read_object("stack", data["stack"], StackDescription))
-    data["scenario"] = DownlinkScenario(**read_object("scenario", data["scenario"], DownlinkScenario))
+    if "scenario" in data:
+        data["scenario"] = DownlinkScenario(**read_object("scenario", data["scenario"], DownlinkScenario))
+    elif data["kind"].downlink:
+        raise ConfigurationError("missing config fields: scenario")
     data["sweep"] = SweepAxes(**read_object("sweep", data["sweep"], SweepAxes))
     if "pgd" in data:
         data["pgd"] = check_pgd_block(data["pgd"])
@@ -247,7 +247,7 @@ def validate_config(config: ExperimentConfig) -> list[str]:
                 found.append(
                     f"scenario slot_count ({scenario.slot_count}) must match the stack's slot_count ({desc.slot_count})"
                 )
-            if desc.pc_layers and desc.alpha_pc == 0:
+            if desc.alpha_pc == 0:
                 found.append("alpha_pc must be positive in a downlink experiment: the stack would radiate no power")
         return found
 
@@ -300,7 +300,7 @@ def _warn_training_budget(config: ExperimentConfig) -> None:
 # Stack fields that became constants, at their fixed values: kept in the key so that no seed moved.
 _FIXED_STACK_FIELDS = {
     "frequency_hz": 28e9, "element_spacing_wl": 0.5, "layer_separation_wl": 0.5, "feed_separation_wl": 0.5,
-    "feed_element_area_wl2": None, "meta_element_area_wl2": None, "beta": 1.0,
+    "feed_element_area_wl2": None, "meta_element_area_wl2": None, "beta": 1.0, "terminal_kind": "pc",
 }
 
 
@@ -527,7 +527,6 @@ PRESETS: dict[str, ExperimentConfig] = {
         stack=StackDescription(
             input_shape=(3, 3), inner_shape=(8, 8), output_shape=(5, 5), ac_layers=4, pc_layers=8, slot_count=1
         ),
-        scenario=DownlinkScenario(user_count=1, slot_count=1, streams=4),
         sweep=SweepAxes(inner_counts=(25, 36, 49, 64), pc_layer_counts=tuple(range(4, 15))),
         trial_count=5,
     ),

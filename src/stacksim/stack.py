@@ -5,9 +5,11 @@ A stack is the cascade
 
     feed array -> time-coded input layer -> space-coded layers 2..L
 
-where layer L is the output layer. The input and output layers are no larger
-than the inner layers (their remaining cells absorb), which decouples the
-stack's ``output_size x input_size`` response from the inner layer size.
+where the amplitude-controlled layers come first and the phase-controlled
+ones last, so the output layer L is phase-controlled. Every hop has the fixed
+geometry of :mod:`stacksim.propagation`. The input and output layers are no
+larger than the inner layers (their remaining cells absorb), which decouples
+the stack's ``output_size x input_size`` response from the inner layer size.
 Layers are numbered by cascade position: 1 is the time-coded input layer and
 2..L are the space-coded layers this module composes.
 """
@@ -21,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError
-from .propagation import SPEED_OF_LIGHT, KernelParams, build_propagation_matrix
+from .propagation import build_propagation_matrix
 from .randomizer import TWO_PI
 
 __all__ = [
@@ -37,13 +39,7 @@ __all__ = [
     "db_to_amplitude",
 ]
 
-# The source paper's geometry, after An et al.'s SIM model (IEEE JSAC 2023): a
-# 28 GHz carrier, half-wavelength element spacing and hop separations, full-cell
-# element areas and a lossless input layer. All hops, the feed's included, share HOP.
-CARRIER_HZ = 28e9
-WAVELENGTH = SPEED_OF_LIGHT / CARRIER_HZ
-SPACING = 0.5 * WAVELENGTH
-HOP = KernelParams(WAVELENGTH, 0.5**2 * WAVELENGTH**2, SPACING)
+# The time-coded input layer is lossless, as in the source paper.
 BETA = 1.0
 
 
@@ -53,7 +49,7 @@ def db_to_amplitude(db: float) -> float:
 
 
 class LayerKind(str, Enum):
-    """What a space-coded layer tunes; the output layer is simply the last one."""
+    """What a space-coded layer tunes; the output layer is the last phase-controlled one."""
 
     PHASE_CONTROLLED = "phase_controlled"
     AMPLITUDE_CONTROLLED = "amplitude_controlled"
@@ -71,11 +67,11 @@ class LayerKind(str, Enum):
 class StackDescription:
     """Serializable description of a stack; the canonical experiment config fragment.
 
-    Grid shapes are (count_x, count_y); the carrier, the spacings and the
-    input layer's ``beta`` are fixed (:data:`CARRIER_HZ`, :data:`SPACING`,
-    :data:`HOP`, :data:`BETA`). ``pc_layers`` counts the output layer when
-    ``terminal_kind == "pc"`` and ``ac_layers`` counts it when "ac".
-    ``slot_count`` is checked against the scenario's and used by nothing else.
+    Grid shapes are (count_x, count_y); the hop geometry
+    (:mod:`stacksim.propagation`) and the input layer's ``beta``
+    (:data:`BETA`) are fixed. ``pc_layers`` counts the output layer, so it is
+    at least 1. ``slot_count`` is checked against the scenario's and used by
+    nothing else.
     """
 
     input_shape: tuple[int, int]
@@ -84,7 +80,6 @@ class StackDescription:
     ac_layers: int
     pc_layers: int
     upa_shape: tuple[int, int] = (2, 2)
-    terminal_kind: str = "pc"
     alpha_pc: float = 0.9
     alpha_min_db: float = -22.0
     alpha_max_db: float = 13.0
@@ -106,16 +101,10 @@ class StackDescription:
         shapes = {name: getattr(self, name) for name in ("upa_shape", "input_shape", "inner_shape", "output_shape")}
         n, z, q, v = (shape[0] * shape[1] for shape in shapes.values())
         problems = [f"{name} counts must be at least 1, got {list(s)}" for name, s in shapes.items() if min(s) < 1]
-        if self.terminal_kind not in ("pc", "ac"):
-            problems.append(f"terminal_kind must be 'pc' or 'ac', got {self.terminal_kind!r}")
-        if self.ac_layers < 0 or self.pc_layers < 0:
-            problems.append("layer counts must be non-negative")
-        if self.ac_layers + self.pc_layers < 1:
-            problems.append("the stack needs at least one space-coded layer")
-        if self.terminal_kind == "pc" and self.pc_layers < 1:
-            problems.append("terminal_kind 'pc' requires pc_layers >= 1")
-        if self.terminal_kind == "ac" and self.ac_layers < 1:
-            problems.append("terminal_kind 'ac' requires ac_layers >= 1")
+        if self.ac_layers < 0:
+            problems.append(f"ac_layers must be non-negative, got {self.ac_layers}")
+        if self.pc_layers < 1:
+            problems.append(f"pc_layers must be at least 1 (the output layer), got {self.pc_layers}")
         if z > q or v > q:
             problems.append(f"boundary layers cannot exceed the inner layer size (Z={z}, V={v}, Q={q})")
         if n > z:
@@ -138,15 +127,6 @@ class StackDescription:
             value = getattr(self, f.name)
             out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
-
-
-def _layer_kinds(desc: StackDescription) -> tuple[LayerKind, ...]:
-    """Kinds of the space-coded layers 2..L, amplitude-controlled ones first;
-    the output layer L has ``terminal_kind``."""
-    ac, pc = LayerKind.AMPLITUDE_CONTROLLED, LayerKind.PHASE_CONTROLLED
-    if desc.terminal_kind == "pc":
-        return (ac,) * desc.ac_layers + (pc,) * desc.pc_layers
-    return (ac,) * (desc.ac_layers - 1) + (pc,) * desc.pc_layers + (ac,)
 
 
 class SimStack:
@@ -277,17 +257,18 @@ def build_stack(description: StackDescription) -> SimStack:
         raise ConfigurationError("; ".join(problems))
     centered = description.centered_alignment
 
-    kinds = _layer_kinds(description)
+    kinds = (LayerKind.AMPLITUDE_CONTROLLED,) * description.ac_layers
+    kinds += (LayerKind.PHASE_CONTROLLED,) * description.pc_layers
     input_shape = description.input_shape
     shapes = [description.inner_shape] * (len(kinds) - 1) + [description.output_shape]
-    feed_matrix = build_propagation_matrix(description.upa_shape, input_shape, SPACING, HOP, centered)
+    feed_matrix = build_propagation_matrix(description.upa_shape, input_shape, centered)
     # One read-only matrix per distinct (source, destination) shape pair: all
     # inner-to-inner hops share one, so the stack's size does not grow with depth.
     hops: dict[tuple, np.ndarray] = {}
     tail = []
     for pair in zip([input_shape, *shapes], shapes):
         if pair not in hops:
-            hops[pair] = build_propagation_matrix(*pair, SPACING, HOP, centered)
+            hops[pair] = build_propagation_matrix(*pair, centered)
         tail.append(hops[pair])
 
     rng = None

@@ -206,12 +206,20 @@ def beam_sinr_cdf(x, streams: int, s: float):
     return 1.0 - np.exp(-x * s) / (1.0 + x) ** (streams - 1)
 
 
-def rs_kernel_expression(d, params: ss.KernelParams):
-    """The Rayleigh-Sommerfeld kernel as one numpy expression, the form whose
-    entries ``rs_kernel`` must reproduce bit for bit."""
+# The source paper's hop geometry, written out here rather than read from
+# stacksim.propagation: a 28 GHz carrier, and elements and planes half a
+# wavelength apart.
+HOP_WAVELENGTH = 3.0e8 / 28e9
+HOP_SPACING = 0.5 * HOP_WAVELENGTH
+
+
+def rs_kernel_expression(d):
+    """The Rayleigh-Sommerfeld kernel at the paper's geometry as one numpy
+    expression, the form whose entries ``rs_kernel`` must reproduce bit for
+    bit: element area (lambda/2)^2, planes lambda/2 apart."""
     d = np.asarray(d, dtype=float)
-    k0 = params.wavenumber
-    amplitude = params.element_area * params.separation / (2.0 * math.pi * d**3)
+    k0 = 2.0 * math.pi / HOP_WAVELENGTH
+    amplitude = 0.5**2 * HOP_WAVELENGTH**2 * HOP_SPACING / (2.0 * math.pi * d**3)
     return amplitude * (1.0 - 1j * k0 * d) * np.exp(1j * k0 * d)
 
 

@@ -79,13 +79,14 @@ def test_synthesis_seed_keys_unchanged(monkeypatch, source):
     assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == SYNTH_KEY_SHA256[source]
 
 
-@pytest.mark.parametrize("source", ["dense-cell", "fig5"])
+@pytest.mark.parametrize("source", ["dense-cell", "fig5", "fig4"])
 def test_summary_config_keeps_overhead_leaves(monkeypatch, source):
-    # bench/checks.check_overhead reads these leaves of summary.json's config.
-    if source == "fig5":
-        config = harness.PRESETS["fig5"]
-    else:
+    # bench/checks.check_overhead reads these leaves of summary.json's config,
+    # on every workload: a synthesis run, whose config has no scenario, too.
+    if source == "dense-cell":
         config = harness.config_from_dict(load_bench(monkeypatch, "workloads").DENSE_CELL_CONFIG)
+    else:
+        config = harness.PRESETS[source]
     written = json.loads(json.dumps(harness.config_to_dict(config)))
     assert written["stack"]["output_shape"] == list(config.stack.output_shape)
     assert written["scenario"]["streams"] == config.scenario.streams

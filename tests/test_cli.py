@@ -87,11 +87,10 @@ BARE_STACK = {
 
 def synth_config(stack, pgd=None, **changes):
     """A single synthesis as a run config: one synth_convergence point of one
-    trial. Synthesis never reads the scenario, so it holds only the required field."""
+    trial. Synthesis never reads a scenario, so the config has none."""
     config = {
         "kind": "synth_convergence",
         "stack": stack,
-        "scenario": {"user_count": 1},
         "sweep": {},
         "trial_count": 1,
         "pgd": pgd or {},
@@ -110,6 +109,9 @@ def test_synth_from_bare_stack_config(runner, tmp_path):
         metrics = {row["metric"]: float(row["value"]) for row in csv.DictReader(fh)}
     assert metrics["pgd_iterations"] <= 25
     assert metrics["pgd_converged"] in (0.0, 1.0)
+    # The config names no scenario; summary.json still records the default one.
+    scenario = json.loads((out / "summary.json").read_text())["config"]["scenario"]
+    assert {"streams", "user_count", "slot_count"} <= set(scenario)
     assert "objective_db (median over trials):" in result.output
 
 
@@ -286,7 +288,7 @@ def small_run_config(**changes):
                 (True, "sweep axis user_counts must be a list of integers, got [True, 6]"),
             )
         ),
-        # The element areas are fixed (stack.HOP): naming one is rejected.
+        # The element areas are fixed (stacksim.propagation): naming one is rejected.
         (
             "run",
             small_run_config(stack={**SMALL_STACK, "feed_element_area_wl2": 0}),
@@ -363,7 +365,7 @@ def small_run_config(**changes):
         # A repeated sweep value ran its point twice and doubled its count.
         ("run", small_run_config(sweep={"user_counts": [6, 6]}), "sweep axis user_counts repeats 6"),
         # Fields that restated another value: the carrier is fixed
-        # (stack.CARRIER_HZ), outputs go to --out, and the Armijo constant is fixed.
+        # (propagation.CARRIER_HZ), outputs go to --out, and the Armijo constant is fixed.
         (
             "run",
             small_run_config(scenario={"user_count": 6, "slot_count": 2, "carrier_hz": 28e9}),
@@ -372,7 +374,7 @@ def small_run_config(**changes):
         ("run", small_run_config(output_path="elsewhere"), "unknown config fields: output_path"),
         ("run", small_run_config(pgd={"armijo_constant": 1e-4}), "unknown pgd fields: armijo_constant"),
         ("synth", synth_config(SMALL_STACK, {"armijo_constant": 1e-4}), "unknown pgd fields: armijo_constant"),
-        # A single synthesis still carries the placeholder scenario's one required field.
+        # A scenario, where given, still needs its one required field.
         ("synth", synth_config(SMALL_STACK, scenario={}), "missing scenario fields: user_count"),
         # The cell, the link budget and PGD's stopping tolerance are fixed
         # values: naming one is rejected, even at its fixed value.
@@ -398,7 +400,7 @@ def small_run_config(**changes):
             "unknown pgd fields: relative_tolerance",
         ),
         # The carrier, the spacings, the element areas and the input layer's
-        # beta are fixed values too (stack.CARRIER_HZ, SPACING, HOP, BETA).
+        # beta are fixed values too (stacksim.propagation, stack.BETA).
         *(
             (form, config, f"unknown stack fields: {field}")
             for field, value in (
@@ -415,6 +417,21 @@ def small_run_config(**changes):
                 ("synth", synth_config({**SMALL_STACK, field: value})),
             )
         ),
+        # The output layer is always phase-controlled.
+        (
+            "run",
+            small_run_config(stack={**SMALL_STACK, "terminal_kind": "pc"}),
+            "unknown stack fields: terminal_kind",
+        ),
+        # Only a synthesis may omit the scenario: a downlink run serves its users.
+        (
+            "run",
+            {key: value for key, value in small_run_config().items() if key != "scenario"},
+            "missing config fields: scenario",
+        ),
+        # The layer counts: the output layer is one of the pc_layers.
+        ("run", small_run_config(stack={**SMALL_STACK, "pc_layers": 0}), "pc_layers must be at least 1 (the output layer)"),
+        ("run", small_run_config(stack={**SMALL_STACK, "ac_layers": -1}), "ac_layers must be non-negative, got -1"),
     ],
 )
 def test_malformed_config_exits_with_one_error_line(runner, tmp_path, form, config, message):
@@ -487,6 +504,9 @@ def test_fig5_scaled_smoke(runner, tmp_path):
     assert result.exit_code == 0, result.output
     lines = (out / "results.csv").read_text().strip().splitlines()
     assert lines[0] == "experiment,users,metric,value,seed,elapsed_s"
+    # Every downlink run prints the sum rate and both fairness variants.
+    for headline in ("ta_sum_rate", "fairness_per_slot", "fairness_coherence"):
+        assert f"{headline} (median over trials):" in result.output
 
 
 def test_fig6_fairness_variant_flag(runner, tmp_path):

@@ -9,7 +9,7 @@ from stacksim.downlink import BS_HEIGHT_M, INNER_RADIUS_M, OUTER_RADIUS_M, pathl
 from conftest import baseline_sinrs, beam_sinr_cdf, exhaustive_schedule, user_sinr
 
 
-WAVELENGTH = ss.SPEED_OF_LIGHT / 28e9  # the fixed carrier, stack.CARRIER_HZ
+WAVELENGTH = ss.SPEED_OF_LIGHT / 28e9  # the fixed carrier, propagation.CARRIER_HZ
 
 
 def scenario(**overrides):

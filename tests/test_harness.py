@@ -100,7 +100,6 @@ class TestConfigIO:
         for mutation, message in (
             ({"trial_count": 2.0}, "config field trial_count must be an integer, got float"),
             ({"eta_feedback": True}, "config field eta_feedback must be a number, got bool"),
-            ({"stack": {**base["stack"], "terminal_kind": 1}}, "stack field terminal_kind must be a string, got int"),
             ({"stack": {**base["stack"], "centered_alignment": 0}}, "centered_alignment must be a boolean, got int"),
             ({"scenario": {**base["scenario"], "streams": None}}, "field streams must be an integer, got NoneType"),
             ({"pgd": {"step_growth": "2"}}, "pgd field step_growth must be a number, got str"),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import stacksim as ss
-from stacksim.stack import WAVELENGTH
 from conftest import compose_by_path_sum, randomize_stack, small_stack
 
 
@@ -55,11 +54,9 @@ class TestBuild:
         assert len(inner_hops) == 3  # four inner layers
         assert all(m is inner_hops[0] for m in inner_hops)
         assert not any(m.flags.writeable for m in tails)
-        lam = WAVELENGTH
-        params = ss.KernelParams(lam, (0.5 * lam) ** 2, 0.5 * lam)
         shapes = [desc.input_shape] + [desc.inner_shape] * 4 + [desc.output_shape]
         for matrix, src, dst in zip(tails, shapes[:-1], shapes[1:], strict=True):
-            np.testing.assert_array_equal(matrix, ss.build_propagation_matrix(src, dst, 0.5 * lam, params, centered))
+            np.testing.assert_array_equal(matrix, ss.build_propagation_matrix(src, dst, centered))
 
     def test_memory_does_not_grow_with_depth(self):
         # Q=144 with 2 AC + 6 PC layers. In units of one Q x Q complex matrix:

@@ -18,10 +18,11 @@ trial's user pool serves points with different stacks), ``run`` on
 must not widen), ``run`` on ``NON_SQUARE_INNER_SCALE`` under ``--scale`` (a
 2x19 inner layer whose short side is below the longest boundary side), and
 ``run`` on the one-point synthesis configs ``BARE_SYNTH`` (the default
-amplitude range), ``BARE_SYNTH_RANGE`` (a narrow one),
+amplitude range), ``BARE_SYNTH_RANGE`` (a narrow one around 1),
 ``BARE_SYNTH_CENTERED`` (grids aligned by their centers) and
 ``BARE_SYNTH_AC_PHASES`` (nonzero fixed AC phases, a range above 1); the
-configs are written to OUT_DIR. The exit status is 0 only when every command
+configs are written to OUT_DIR. The synthesis configs name no scenario, so a
+tree whose ``run`` requires one for synthesis fails those four commands. The exit status is 0 only when every command
 succeeded and every output record is identical. Uses the standard library only.
 """
 
@@ -40,11 +41,10 @@ COMPARE = Path(__file__).resolve().with_name("compare_outputs.py")
 
 def one_point_synthesis(stack: dict, max_iterations: int, master_seed: int) -> dict:
     """A single synthesis as a ``run`` config: trial 0 of one ``synth_convergence``
-    point. Synthesis never reads the scenario, so it holds the one required field."""
+    point. Synthesis never reads a scenario, so the config has none."""
     return {
         "kind": "synth_convergence",
         "stack": stack,
-        "scenario": {"user_count": 1},
         "sweep": {},
         "trial_count": 1,
         "master_seed": master_seed,
@@ -59,8 +59,8 @@ BARE_SYNTH = one_point_synthesis(
     master_seed=4,
 )
 
-# Q=36, two amplitude-controlled layers (one of them the output layer) held
-# to a -6..6 dB range instead of the default -22..13 dB.
+# Q=36, two amplitude-controlled layers held to a -6..6 dB range instead of
+# the default -22..13 dB, then two phase-controlled layers.
 BARE_SYNTH_RANGE = one_point_synthesis(
     {
         "input_shape": [2, 2],
@@ -68,7 +68,6 @@ BARE_SYNTH_RANGE = one_point_synthesis(
         "output_shape": [3, 3],
         "ac_layers": 2,
         "pc_layers": 2,
-        "terminal_kind": "ac",
         "alpha_min_db": -6.0,
         "alpha_max_db": 6.0,
     },
