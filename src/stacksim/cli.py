@@ -34,8 +34,7 @@ def _preset_options(downlink: bool):
             "--scale", type=scale, default=1.0, show_default=True, callback=_finite, help="Desk-scale shrink factor."
         )(f)
         if downlink:
-            for flag, text in (("--eta", "Path-loss exponent override."), ("--d0", "Reference distance override (m).")):
-                f = click.option(flag, type=float, default=None, callback=_finite, help=text)(f)
+            f = click.option("--eta", type=float, default=None, callback=_finite, help="Path-loss exponent.")(f)
         return f
 
     return wrap
@@ -45,11 +44,11 @@ def _preset_options(downlink: bool):
 _HEADLINES = {True: ("ta_sum_rate", "fairness_per_slot", "fairness_coherence"), False: ("objective_db",)}
 
 
-def _execute(load, out: str | None, seed, trials, scale, eta=None, d0=None) -> None:
+def _execute(load, out: str | None, seed, trials, scale, eta=None) -> None:
     """The presets' and ``run``'s one path: run ``load()`` with the flags applied and
     write its results to ``out``, else ``results/<kind>``."""
     try:
-        config = harness.with_overrides(load(), seed, trials, scale, eta, d0)
+        config = harness.with_overrides(load(), seed, trials, scale, eta)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     out_dir = Path(out or Path("results") / config.kind.value)

@@ -41,21 +41,23 @@ __all__ = [
 UNSERVED = -1
 
 # The cell and link budget every experiment shares: users on an annulus of
-# radii 10 and 50 m below a base station 10 m up, 15 dBm radiated over 10 MHz
-# at -174 dBm/Hz thermal noise. Symbol energy per unit time equals the radiated
-# power at Nyquist signaling, so the noise over per-stream symbol energy
-# reduces to (noise power) / (transmit power).
+# radii 10 and 50 m below a base station 10 m up, path loss anchored at 1 m,
+# 15 dBm radiated over 10 MHz at -174 dBm/Hz thermal noise. Symbol energy per
+# unit time equals the radiated power at Nyquist signaling, so the noise over
+# per-stream symbol energy reduces to (noise power) / (transmit power).
 BS_HEIGHT_M = 10.0
 INNER_RADIUS_M = 10.0
 OUTER_RADIUS_M = 50.0
+REFERENCE_DISTANCE_M = 1.0
 NOISE_OVER_ENERGY = 10.0 ** ((-174.0 + 10.0 * math.log10(10e6) - 15.0) / 10.0)
 
 
 @dataclass(frozen=True)
 class DownlinkScenario:
-    """User count and schedule shape of one simulation, and the path-loss law.
-    The carrier (:data:`propagation.CARRIER_HZ`), the cell and the link budget
-    (:data:`NOISE_OVER_ENERGY`) are fixed.
+    """User count and schedule shape of one simulation, and the path-loss
+    exponent. The carrier (:data:`propagation.CARRIER_HZ`), the cell, the
+    path-loss reference distance (:data:`REFERENCE_DISTANCE_M`) and the link
+    budget (:data:`NOISE_OVER_ENERGY`) are fixed.
 
     The path-loss exponent defaults to 3.2 (3GPP UMi NLOS at 28 GHz); the
     opportunistic scheme's gain over the full-feedback baseline hinges on how
@@ -65,7 +67,6 @@ class DownlinkScenario:
 
     user_count: int
     pathloss_exponent: float = 3.2
-    reference_distance_m: float = 1.0
     slot_count: int = 2
     streams: int = 4
 
@@ -79,22 +80,20 @@ class DownlinkScenario:
             problems.append("slot_count must be at least 1")
         if self.streams < 1:
             problems.append("streams must be at least 1")
-        for name in ("pathloss_exponent", "reference_distance_m"):
-            if not getattr(self, name) > 0:
-                problems.append(f"{name} must be positive")
+        if not self.pathloss_exponent > 0:
+            problems.append("pathloss_exponent must be positive")
         return problems
 
 
 @dataclass(frozen=True)
 class Users:
-    """A user drop as arrays, one row per user: placement, distance to the base
-    station, path loss, and small-scale fading (unit mean energy).
+    """A user drop as arrays, one row per user: distance to the base station,
+    path loss, and small-scale fading (unit mean energy).
 
     ``len()`` is the user count; indexing with a slice or an index array
     selects users, e.g. ``users[:n]`` for the first ``n``.
     """
 
-    positions: np.ndarray  # (U, 3) meters
     distance: np.ndarray  # (U,) meters
     pathloss: np.ndarray  # (U,) linear power gain
     fading: np.ndarray  # (U, output_size) complex
@@ -103,7 +102,7 @@ class Users:
         return self.distance.shape[0]
 
     def __getitem__(self, index) -> "Users":
-        return Users(self.positions[index], self.distance[index], self.pathloss[index], self.fading[index])
+        return Users(self.distance[index], self.pathloss[index], self.fading[index])
 
 
 @dataclass(frozen=True)
@@ -126,19 +125,20 @@ class OverheadCounts:
     within_training_budget: bool
 
 
-def pathloss(distance, wavelength: float, reference_distance: float, exponent: float):
-    """Distance power law anchored at the far-field reference distance (scalar or array)."""
-    return (wavelength / (4.0 * math.pi * reference_distance)) ** 2 * (reference_distance / distance) ** exponent
+def pathloss(distance, exponent: float):
+    """Distance power law at the carrier wavelength, anchored at the reference
+    distance :data:`REFERENCE_DISTANCE_M` (scalar or array)."""
+    return (WAVELENGTH / (4.0 * math.pi * REFERENCE_DISTANCE_M)) ** 2 * (REFERENCE_DISTANCE_M / distance) ** exponent
 
 
 def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_size: int) -> Users:
     """Drop ``scenario.user_count`` users uniformly by area on the annulus and
     draw their fading.
 
-    Positions come from the first child stream of ``seed``, fading from
+    Radii come from the first child stream of ``seed``, fading from
     ``fading_seed``, so the two draws are independent. ``output_size`` is the
-    fading vector length, the stack's output layer size. The path loss is at
-    the carrier wavelength :data:`propagation.WAVELENGTH`.
+    fading vector length, the stack's output layer size. Only a user's
+    distance reaches the downlink, so no azimuth is drawn.
     """
     pos_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     fad_rng = np.random.default_rng(fading_seed)
@@ -147,16 +147,10 @@ def drop_users(scenario: DownlinkScenario, seed: int, fading_seed: int, output_s
     r_in2 = INNER_RADIUS_M**2
     r_out2 = OUTER_RADIUS_M**2
     radius = np.sqrt(r_in2 + (r_out2 - r_in2) * pos_rng.uniform(size=count))
-    angle = pos_rng.uniform(0.0, 2.0 * math.pi, count)
     shape = (count, output_size)
     fading = (fad_rng.standard_normal(shape) + 1j * fad_rng.standard_normal(shape)) * math.sqrt(0.5 / output_size)
     distance = np.sqrt(radius**2 + BS_HEIGHT_M**2)
-    return Users(
-        positions=np.column_stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(count)]),
-        distance=distance,
-        pathloss=pathloss(distance, WAVELENGTH, scenario.reference_distance_m, scenario.pathloss_exponent),
-        fading=fading,
-    )
+    return Users(distance=distance, pathloss=pathloss(distance, scenario.pathloss_exponent), fading=fading)
 
 
 def effective_channels(users: Users, response: np.ndarray) -> np.ndarray:

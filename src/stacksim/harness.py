@@ -301,6 +301,7 @@ def _warn_training_budget(config: ExperimentConfig) -> None:
 _FIXED_STACK_FIELDS = {
     "frequency_hz": 28e9, "element_spacing_wl": 0.5, "layer_separation_wl": 0.5, "feed_separation_wl": 0.5,
     "feed_element_area_wl2": None, "meta_element_area_wl2": None, "beta": 1.0, "terminal_kind": "pc",
+    "alpha_min_db": -22.0, "alpha_max_db": 13.0, "ac_phase_seed": None,
 }
 
 
@@ -560,12 +561,11 @@ def with_overrides(
     trials: int | None = None,
     scale: float | None = None,
     eta: float | None = None,
-    d0: float | None = None,
 ) -> ExperimentConfig:
     """``config`` with the command-line overrides applied: master seed, trial
-    count, path-loss exponent and reference distance, then :func:`apply_scale`.
-    ``None`` keeps the config's value."""
-    link = {k: v for k, v in (("pathloss_exponent", eta), ("reference_distance_m", d0)) if v is not None}
+    count and path-loss exponent, then :func:`apply_scale`. ``None`` keeps the
+    config's value."""
+    link = {"pathloss_exponent": eta} if eta is not None else {}
     flags = {k: v for k, v in (("master_seed", seed), ("trial_count", trials)) if v is not None}
     config = dataclasses.replace(config, scenario=dataclasses.replace(config.scenario, **link), **flags)
     return config if scale is None else apply_scale(config, scale)

@@ -4,8 +4,8 @@ Minimizes the squared Frobenius distance between the composed space-block
 response and a target matrix, sweeping the layers in cascade order each
 iteration. Phase-controlled layers take plain gradient steps on their phases;
 amplitude-controlled layers take gradient steps on their amplitudes followed
-by projection onto the stack's amplitude range ``stack.alpha_bounds`` (its
-``alpha_min_db``/``alpha_max_db``), the range the write-back accepts; the
+by projection onto the stack's amplitude range ``stack.alpha_bounds`` (the
+fixed ``stack.ALPHA_BOUNDS``), the range the write-back accepts; the
 amplitude gradient is floored at that range's minimum. Both kinds share one
 backtracking line search under an Armijo test, ``f <= f0 - c*step*|g|^2`` for
 phases and ``f <= f0 + c*g.(alpha_new - alpha)`` for amplitudes, with
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .stack import SimStack, StackDescription, compose, compose_space_block
+from .stack import SimStack, compose, compose_space_block
 from .target import TargetMatrix
 
 __all__ = [
@@ -83,7 +83,7 @@ class PgdConfig:
     """Optimizer settings.
 
     The config sets no amplitude range: amplitudes are projected onto the
-    stack's (``alpha_bounds``, from its ``alpha_min_db``/``alpha_max_db``). Each
+    stack's (``alpha_bounds``, the fixed ``stack.ALPHA_BOUNDS``). Each
     layer's line search is warm-started at ``step_growth`` times its last
     accepted step (the first search starts at ``initial_step``), so step
     sizes can grow across iterations instead of being capped at
@@ -112,7 +112,7 @@ class PgdConfig:
     # Kept only because bench/tracing.py calls it; the package reads
     # stack.alpha_bounds. Delete with the benchmark change that mends that
     # caller (ROADMAP item 1).
-    def bounds_for(self, stack: SimStack | StackDescription) -> tuple[float, float]:
+    def bounds_for(self, stack: SimStack) -> tuple[float, float]:
         """Amplitude range :func:`run_pgd` projects onto: the stack's."""
         return stack.alpha_bounds
 
@@ -263,7 +263,7 @@ def run_pgd(
 
     Phases of phase-controlled layers are initialized i.i.d. uniform on
     [0, 2*pi) from ``config.seed``; amplitude-controlled layers start at
-    amplitude 1 clipped into ``stack.alpha_bounds``. Each layer's fixed
+    amplitude 1, inside ``stack.alpha_bounds``. Each layer's fixed
     component is read from the stack. Layers are swept in cascade order;
     a layer whose line search cannot find a decreasing step within
     ``max_backtracks`` halvings is frozen for that iteration. The final
@@ -286,7 +286,7 @@ def run_pgd(
         if kind.phase_tunable:
             phases[pos] = rng.uniform(0.0, 2.0 * np.pi, size)
         else:
-            amps[pos] = project_amplitude(np.ones(size), bounds)
+            amps[pos] = np.ones(size)
     gammas = [a * np.exp(1j * p) for a, p in zip(amps, phases)]
 
     f_current = _objective_value(mats, gammas, target.entries)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .propagation import build_propagation_matrix
-from .randomizer import TWO_PI
 
 __all__ = [
     "LayerKind",
@@ -48,6 +47,11 @@ def db_to_amplitude(db: float) -> float:
     return 10.0 ** (db / 20.0)
 
 
+# The amplitude range of an amplitude-controlled element, -22 to 13 dB. It
+# contains 1, the amplitude these layers are built with and PGD starts from.
+ALPHA_BOUNDS = (db_to_amplitude(-22.0), db_to_amplitude(13.0))
+
+
 class LayerKind(str, Enum):
     """What a space-coded layer tunes; the output layer is the last phase-controlled one."""
 
@@ -68,10 +72,10 @@ class StackDescription:
     """Serializable description of a stack; the canonical experiment config fragment.
 
     Grid shapes are (count_x, count_y); the hop geometry
-    (:mod:`stacksim.propagation`) and the input layer's ``beta``
-    (:data:`BETA`) are fixed. ``pc_layers`` counts the output layer, so it is
-    at least 1. ``slot_count`` is checked against the scenario's and used by
-    nothing else.
+    (:mod:`stacksim.propagation`), the input layer's ``beta`` (:data:`BETA`)
+    and the amplitude range (:data:`ALPHA_BOUNDS`) are fixed. ``pc_layers``
+    counts the output layer, so it is at least 1. ``slot_count`` is checked
+    against the scenario's and used by nothing else.
     """
 
     input_shape: tuple[int, int]
@@ -81,9 +85,6 @@ class StackDescription:
     pc_layers: int
     upa_shape: tuple[int, int] = (2, 2)
     alpha_pc: float = 0.9
-    alpha_min_db: float = -22.0
-    alpha_max_db: float = 13.0
-    ac_phase_seed: int | None = None
     centered_alignment: bool = False
     slot_count: int = 2
 
@@ -92,10 +93,6 @@ class StackDescription:
         object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
         object.__setattr__(self, "inner_shape", tuple(int(v) for v in self.inner_shape))
         object.__setattr__(self, "output_shape", tuple(int(v) for v in self.output_shape))
-
-    @property
-    def alpha_bounds(self) -> tuple[float, float]:
-        return (db_to_amplitude(self.alpha_min_db), db_to_amplitude(self.alpha_max_db))
 
     def validate(self) -> list[str]:
         shapes = {name: getattr(self, name) for name in ("upa_shape", "input_shape", "inner_shape", "output_shape")}
@@ -113,12 +110,8 @@ class StackDescription:
             problems.append(f"the output layer needs at least one cell per stream (N={n}, V={v})")
         if not 0 <= self.alpha_pc <= 1.0:
             problems.append(f"alpha_pc must be in [0, 1], got {self.alpha_pc}")
-        if self.alpha_min_db > self.alpha_max_db:
-            problems.append("alpha_min_db must not exceed alpha_max_db")
         if self.slot_count < 1:
             problems.append("slot_count must be at least 1")
-        if self.ac_phase_seed is not None and self.ac_phase_seed < 0:
-            problems.append(f"ac_phase_seed must be non-negative, got {self.ac_phase_seed}")
         return problems
 
     def to_dict(self) -> dict:
@@ -190,7 +183,7 @@ class SimStack:
 
     @property
     def alpha_bounds(self) -> tuple[float, float]:
-        return self.description.alpha_bounds
+        return ALPHA_BOUNDS
 
     @property
     def w1_frobenius(self) -> float:
@@ -248,9 +241,8 @@ def build_stack(description: StackDescription) -> SimStack:
     """Construct the propagation matrices between layer shapes, and initial coefficients.
 
     Phase-controlled layers start at phase 0 with their fixed amplitude
-    ``alpha_pc``; amplitude-controlled layers start at amplitude 1 clipped
-    into ``alpha_bounds`` (the start ``pgd.run_pgd`` uses) with their fixed,
-    known phases (zero unless ``ac_phase_seed`` is given).
+    ``alpha_pc``; amplitude-controlled layers start at amplitude 1 (the start
+    ``pgd.run_pgd`` uses) with their fixed phase 0.
     """
     problems = description.validate()
     if problems:
@@ -271,18 +263,11 @@ def build_stack(description: StackDescription) -> SimStack:
             hops[pair] = build_propagation_matrix(*pair, centered)
         tail.append(hops[pair])
 
-    rng = None
-    if description.ac_phase_seed is not None:
-        rng = np.random.default_rng(description.ac_phase_seed)
     phases, amplitudes = [], []
     for kind, shape in zip(kinds, shapes):
         size = math.prod(shape)
-        if kind.amplitude_tunable:
-            phases.append(rng.uniform(0.0, TWO_PI, size) if rng is not None else np.zeros(size))
-            amplitudes.append(np.clip(np.ones(size), *description.alpha_bounds))
-        else:
-            phases.append(np.zeros(size))
-            amplitudes.append(np.full(size, description.alpha_pc))
+        phases.append(np.zeros(size))
+        amplitudes.append(np.ones(size) if kind.amplitude_tunable else np.full(size, description.alpha_pc))
     return SimStack(description, feed_matrix, tail, kinds, phases, amplitudes)
 
 

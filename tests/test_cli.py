@@ -148,10 +148,9 @@ def test_zero_trials_rejected(runner, tmp_path, command):
     assert not (tmp_path / command).exists()  # a rejected config writes nothing
 
 
-@pytest.mark.parametrize("flag, value", [("--scale", "nan"), ("--eta", "inf"), ("--d0", "inf")])
+@pytest.mark.parametrize("flag, value", [("--scale", "nan"), ("--eta", "inf")])
 def test_non_finite_flags_rejected(runner, tmp_path, flag, value):
-    # NaN scale crashed in apply_scale; an infinite eta zeroed every rate and
-    # an infinite d0 failed every trial.
+    # NaN scale crashed in apply_scale; an infinite eta zeroed every rate.
     out = tmp_path / "fig5"
     result = runner.invoke(main, ["fig5", "--trials", "1", "--scale", "0.12", flag, value, "--out", str(out)])
     assert result.exit_code != 0
@@ -162,7 +161,7 @@ def test_non_finite_flags_rejected(runner, tmp_path, flag, value):
 
 
 COMMON_OPTIONS = {"--seed": None, "--trials": None, "--out": None, "--scale": 1.0}
-DOWNLINK_OPTIONS = {**COMMON_OPTIONS, "--eta": None, "--d0": None}
+DOWNLINK_OPTIONS = {**COMMON_OPTIONS, "--eta": None}
 
 
 def test_cli_surface(runner):
@@ -180,8 +179,11 @@ def test_cli_surface(runner):
         assert tuple(param.name for param in command.params if isinstance(param, click.Argument)) == arguments
         assert {param.opts[0]: param.default for param in command.params if isinstance(param, click.Option)} == options
         assert command.get_short_help_str(limit=200) == help_line
-    result = runner.invoke(main, ["fig3", "--eta", "2"])
-    assert result.exit_code == 2 and "No such option '--eta'" in result.output
+    # The path-loss reference distance is fixed (downlink.REFERENCE_DISTANCE_M);
+    # --trials 0 stops a command that took the flag before it runs.
+    for command, flag in (("fig3", "--eta"), ("fig5", "--d0")):
+        result = runner.invoke(main, [command, flag, "2", "--trials", "0"])
+        assert result.exit_code == 2 and f"No such option '{flag}'" in result.output
 
 
 SMALL_STACK = {**BARE_STACK, "slot_count": 2}
@@ -310,29 +312,34 @@ def small_run_config(**changes):
             small_run_config(kind="synth_convergence", sweep={"user_counts": [-5, 7]}),
             "sweep axis user_counts is not used by synth_convergence experiments",
         ),
-        # NaN and infinite numbers: a NaN amplitude bound crashed in PGD's
-        # projection, and the infinite values below ran to exit status 0.
+        # NaN and infinite numbers are rejected when read: a NaN amplitude
+        # bound once crashed in PGD's projection, and infinite values ran to
+        # exit status 0.
         (
             "run",
-            small_run_config(stack={**SMALL_STACK, "alpha_min_db": float("nan")}),
-            "stack field alpha_min_db must be a finite number, got NaN",
+            small_run_config(stack={**SMALL_STACK, "alpha_pc": float("nan")}),
+            "stack field alpha_pc must be a finite number, got NaN",
         ),
         (
             "run",
-            small_run_config(stack={**SMALL_STACK, "alpha_max_db": float("inf")}),
-            "stack field alpha_max_db must be a finite number, got Infinity",
+            small_run_config(stack={**SMALL_STACK, "alpha_pc": float("inf")}),
+            "stack field alpha_pc must be a finite number, got Infinity",
         ),
-        *(
-            (
-                "run",
-                small_run_config(scenario={"user_count": 6, "slot_count": 2, field: value}),
-                f"scenario field {field} must be a finite number, got {got}",
-            )
-            for field, value, got in (
-                ("pathloss_exponent", float("inf"), "Infinity"),
-                ("reference_distance_m", float("inf"), "Infinity"),
-                ("pathloss_exponent", float("-inf"), "-Infinity"),
-            )
+        (
+            "run",
+            small_run_config(scenario={"user_count": 6, "slot_count": 2, "pathloss_exponent": float("inf")}),
+            "scenario field pathloss_exponent must be a finite number, got Infinity",
+        ),
+        # The path-loss reference distance is fixed (downlink.REFERENCE_DISTANCE_M).
+        (
+            "run",
+            small_run_config(scenario={"user_count": 6, "slot_count": 2, "reference_distance_m": 1.0}),
+            "unknown scenario fields: reference_distance_m",
+        ),
+        (
+            "run",
+            small_run_config(scenario={"user_count": 6, "slot_count": 2, "pathloss_exponent": float("-inf")}),
+            "scenario field pathloss_exponent must be a finite number, got -Infinity",
         ),
         # Every grid count is at least 1: a negative pair has a positive
         # product, so the size checks passed and the grid build crashed.
@@ -350,10 +357,12 @@ def small_run_config(**changes):
             small_run_config(kind="synth_convergence", stack={**SMALL_STACK, "upa_shape": [0, 2]}),
             "upa_shape counts must be at least 1, got [0, 2]",
         ),
+        # The amplitude range (stack.ALPHA_BOUNDS) and the amplitude-controlled
+        # layers' phase, 0, are fixed: naming one is rejected.
         (
             "run",
-            small_run_config(stack={**SMALL_STACK, "ac_phase_seed": -1}),
-            "ac_phase_seed must be non-negative, got -1",
+            small_run_config(stack={**SMALL_STACK, "alpha_min_db": -22.0, "alpha_max_db": 13.0, "ac_phase_seed": 3}),
+            "unknown stack fields: ac_phase_seed, alpha_max_db, alpha_min_db",
         ),
         # With alpha_pc 0 the stack radiates nothing: the baseline raised on its
         # zero power budget after the whole synthesis.

@@ -10,6 +10,7 @@ from conftest import baseline_sinrs, beam_sinr_cdf, exhaustive_schedule, user_si
 
 
 WAVELENGTH = ss.SPEED_OF_LIGHT / 28e9  # the fixed carrier, propagation.CARRIER_HZ
+D0 = 1.0  # the fixed path-loss reference distance, downlink.REFERENCE_DISTANCE_M
 
 
 def scenario(**overrides):
@@ -23,7 +24,6 @@ def make_users(fading, rho=1.0):
     fading = np.atleast_2d(np.asarray(fading, dtype=complex))
     count = fading.shape[0]
     return ss.Users(
-        positions=np.zeros((count, 3)),
         distance=np.ones(count),
         pathloss=np.ones(count) * rho,
         fading=fading,
@@ -56,7 +56,8 @@ class TestDropUsers:
     def test_planar_radius_cdf_uniform_by_area(self):
         scen = scenario(user_count=10_000)
         users = ss.drop_users(scen, seed=3, fading_seed=13, output_size=4)
-        radii = np.linalg.norm(users.positions[:, :2], axis=1)
+        radii = np.sqrt(users.distance**2 - BS_HEIGHT_M**2)
+        assert np.all(radii >= INNER_RADIUS_M - 1e-9) and np.all(radii <= OUTER_RADIUS_M + 1e-9)
         transformed = (radii**2 - INNER_RADIUS_M**2) / (OUTER_RADIUS_M**2 - INNER_RADIUS_M**2)
         statistic = stats.kstest(transformed, "uniform").statistic
         assert statistic < 1.628 / math.sqrt(len(users))
@@ -65,9 +66,7 @@ class TestDropUsers:
         scen = scenario()
         users = ss.drop_users(scen, seed=4, fading_seed=14, output_size=4)
         for u in range(10):
-            expected = (WAVELENGTH / (4 * math.pi * scen.reference_distance_m)) ** 2 * (
-                scen.reference_distance_m / users.distance[u]
-            ) ** scen.pathloss_exponent
+            expected = (WAVELENGTH / (4 * math.pi * D0)) ** 2 * (D0 / users.distance[u]) ** scen.pathloss_exponent
             assert users.pathloss[u] == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_and_fading_stream_separable(self):
@@ -75,7 +74,8 @@ class TestDropUsers:
         a = ss.drop_users(scen, seed=7, fading_seed=17, output_size=4)
         b = ss.drop_users(scen, seed=7, fading_seed=17, output_size=4)
         np.testing.assert_array_equal(a.fading, b.fading)
-        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.distance, b.distance)
+        np.testing.assert_array_equal(a.pathloss, b.pathloss)
         c = ss.drop_users(scen, seed=7, fading_seed=123, output_size=4)
         np.testing.assert_array_equal(a.distance, c.distance)
         assert not np.array_equal(a.fading[0], c.fading[0])

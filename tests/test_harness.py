@@ -94,9 +94,9 @@ class TestConfigIO:
     def test_field_types_checked(self):
         base = harness.config_to_dict(tiny_downlink_config())
         # A JSON integer is a number, and null is allowed where the field is optional.
-        stack = {**base["stack"], "alpha_pc": 1, "ac_phase_seed": None}
-        again = harness.config_from_dict({**base, "eta_feedback": 2, "stack": stack})
-        assert again.eta_feedback == 2 and again.stack.alpha_pc == 1 and again.stack.ac_phase_seed is None
+        stack, sweep = {**base["stack"], "alpha_pc": 1}, {**base["sweep"], "pc_layer_counts": None}
+        again = harness.config_from_dict({**base, "eta_feedback": 2, "stack": stack, "sweep": sweep})
+        assert again.eta_feedback == 2 and again.stack.alpha_pc == 1 and again.sweep.pc_layer_counts is None
         for mutation, message in (
             ({"trial_count": 2.0}, "config field trial_count must be an integer, got float"),
             ({"eta_feedback": True}, "config field eta_feedback must be a number, got bool"),
@@ -283,9 +283,9 @@ class TestRunExperiment:
                 ss.stream_seed(config.master_seed, "channels", trial, 9),
                 9,
             )
-            np.testing.assert_array_equal(pool.fading, expected.fading)
-            np.testing.assert_array_equal(pool.positions, expected.positions)
+            np.testing.assert_array_equal(pool.distance, expected.distance)
             np.testing.assert_array_equal(pool.pathloss, expected.pathloss)
+            np.testing.assert_array_equal(pool.fading, expected.fading)
         # Every point of every trial serves a prefix of its trial's pool.
         assert sorted((trial, count) for trial, count, _ in served) == [(t, u) for t in (0, 1) for u in (6, 6, 12, 12)]
         for trial, count, users in served:
@@ -560,9 +560,9 @@ class TestPresetsAndScale:
 
     def test_overrides_apply_given_values_only(self):
         base = harness.PRESETS["fig6"]
-        config = harness.with_overrides(base, seed=3, d0=2.0)
+        config = harness.with_overrides(base, seed=3, eta=2.4)
         assert (config.master_seed, config.trial_count) == (3, base.trial_count)
-        assert config.scenario == dataclasses.replace(base.scenario, reference_distance_m=2.0)
+        assert config.scenario == dataclasses.replace(base.scenario, pathloss_exponent=2.4)
         assert harness.with_overrides(base) == base
         assert harness.PRESETS["fig6"].master_seed == 0  # the table itself is never changed
 

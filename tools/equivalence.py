@@ -8,7 +8,7 @@ Each tree is a checkout of this repository whose package is imported from
 the same time, each as a subprocess with ``OPENBLAS_NUM_THREADS=1`` so that
 BLAS threading cannot move a last bit. They write to ``OUT_DIR/parent/<name>``
 and ``OUT_DIR/change/<name>``, and ``compare_outputs.py`` (next to this
-script) compares each pair. The fourteen commands are the four presets, ``run``
+script) compares each pair. The twelve commands are the four presets, ``run``
 on ``DENSE_CELL_CONFIG`` from CHANGE_TREE's ``bench/workloads.py``, ``run``
 on ``BASE_POINT`` (no swept axis), ``run`` on ``DOWNLINK_INNER`` (one
 trial's user pool serves points with different stacks), ``run`` on
@@ -17,13 +17,12 @@ trial's user pool serves points with different stacks), ``run`` on
 ``NARROW_INPUT_SCALE`` under ``--scale`` (a 1x8 input layer that ``--scale``
 must not widen), ``run`` on ``NON_SQUARE_INNER_SCALE`` under ``--scale`` (a
 2x19 inner layer whose short side is below the longest boundary side), and
-``run`` on the one-point synthesis configs ``BARE_SYNTH`` (the default
-amplitude range), ``BARE_SYNTH_RANGE`` (a narrow one around 1),
-``BARE_SYNTH_CENTERED`` (grids aligned by their centers) and
-``BARE_SYNTH_AC_PHASES`` (nonzero fixed AC phases, a range above 1); the
+``run`` on the one-point synthesis configs ``BARE_SYNTH`` (grids aligned by
+index) and ``BARE_SYNTH_CENTERED`` (grids aligned by their centers); the
 configs are written to OUT_DIR. The synthesis configs name no scenario, so a
-tree whose ``run`` requires one for synthesis fails those four commands. The exit status is 0 only when every command
-succeeded and every output record is identical. Uses the standard library only.
+tree whose ``run`` requires one for synthesis fails those two commands. The
+exit status is 0 only when every command succeeded and every output record is
+identical. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -52,27 +51,12 @@ def one_point_synthesis(stack: dict, max_iterations: int, master_seed: int) -> d
     }
 
 
-# Q=25, one amplitude-controlled and three phase-controlled layers.
+# Q=25, one amplitude-controlled and three phase-controlled layers. An
+# amplitude sits on a bound of the fixed range in 299 of its 300 iterations.
 BARE_SYNTH = one_point_synthesis(
     {"input_shape": [3, 3], "inner_shape": [5, 5], "output_shape": [3, 3], "ac_layers": 1, "pc_layers": 3},
     max_iterations=300,
     master_seed=4,
-)
-
-# Q=36, two amplitude-controlled layers held to a -6..6 dB range instead of
-# the default -22..13 dB, then two phase-controlled layers.
-BARE_SYNTH_RANGE = one_point_synthesis(
-    {
-        "input_shape": [2, 2],
-        "inner_shape": [6, 6],
-        "output_shape": [3, 3],
-        "ac_layers": 2,
-        "pc_layers": 2,
-        "alpha_min_db": -6.0,
-        "alpha_max_db": 6.0,
-    },
-    max_iterations=200,
-    master_seed=9,
 )
 
 # Q=36, grids aligned by their centers: odd input and even inner sides give
@@ -88,23 +72,6 @@ BARE_SYNTH_CENTERED = one_point_synthesis(
     },
     max_iterations=200,
     master_seed=5,
-)
-
-# Q=25, two amplitude-controlled layers with nonzero fixed phases, held to a
-# 2..10 dB range that excludes the amplitude 1 they start from.
-BARE_SYNTH_AC_PHASES = one_point_synthesis(
-    {
-        "input_shape": [3, 3],
-        "inner_shape": [5, 5],
-        "output_shape": [3, 3],
-        "ac_layers": 2,
-        "pc_layers": 2,
-        "ac_phase_seed": 3,
-        "alpha_min_db": 2.0,
-        "alpha_max_db": 10.0,
-    },
-    max_iterations=200,
-    master_seed=6,
 )
 
 # One downlink experiment with no swept axis, so it runs the config's own
@@ -190,9 +157,7 @@ CONFIGS = {
     "narrow_input_scale": NARROW_INPUT_SCALE,
     "non_square_inner_scale": NON_SQUARE_INNER_SCALE,
     "bare_synth": BARE_SYNTH,
-    "bare_synth_range": BARE_SYNTH_RANGE,
     "bare_synth_centered": BARE_SYNTH_CENTERED,
-    "bare_synth_ac_phases": BARE_SYNTH_AC_PHASES,
 }
 
 # name -> CLI arguments; "{dense_cell}" and each "{<key of CONFIGS>}" stand
@@ -209,9 +174,7 @@ BATTERY = {
     "narrow-input-scale": ["run", "{narrow_input_scale}", "--scale", "0.25"],
     "non-square-inner-scale": ["run", "{non_square_inner_scale}", "--scale", "0.25"],
     "synth": ["run", "{bare_synth}"],
-    "synth-range": ["run", "{bare_synth_range}"],
     "synth-centered": ["run", "{bare_synth_centered}"],
-    "synth-ac-phases": ["run", "{bare_synth_ac_phases}"],
 }
 
 
