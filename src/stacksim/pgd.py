@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .stack import SimStack, compose, compose_space_block
+from .stack import SimStack, compose, compose_space_block, layer_gamma
 from .target import TargetMatrix
 
 __all__ = [
@@ -263,31 +263,30 @@ def run_pgd(
 
     Phases of phase-controlled layers are initialized i.i.d. uniform on
     [0, 2*pi) from ``config.seed``; amplitude-controlled layers start at
-    amplitude 1, inside ``stack.alpha_bounds``. Each layer's fixed
-    component is read from the stack. Layers are swept in cascade order;
-    a layer whose line search cannot find a decreasing step within
-    ``max_backtracks`` halvings is frozen for that iteration. The final
-    coefficients are written back into the stack.
+    amplitude 1, inside ``stack.alpha_bounds``. Every candidate's
+    coefficients come from :func:`stack.layer_gamma`. Layers are swept in
+    cascade order; a layer whose line search cannot find a decreasing step
+    within ``max_backtracks`` halvings is frozen for that iteration. The
+    final tunable vectors are written back into the stack.
 
     ``monitor``, if given, is called after every iteration as
-    ``monitor(iteration, objective, amplitudes_by_layer)``.
+    ``monitor(iteration, objective, amplitudes_by_layer)``, whose dict holds
+    the amplitude-controlled layers only, keyed by cascade position.
     """
     config = config or PgdConfig()
     _check_dimensions(stack, target)
     bounds = stack.alpha_bounds
+    alpha_pc = stack.description.alpha_pc
     rng = np.random.default_rng(config.seed)
 
     mats = stack.tail_matrices()
     kinds = stack.kinds
     n_layers = len(kinds)
-    phases, amps = list(stack.phases), list(stack.amplitudes)
-    for pos, kind in enumerate(kinds):
-        size = mats[pos].shape[0]
-        if kind.phase_tunable:
-            phases[pos] = rng.uniform(0.0, 2.0 * np.pi, size)
-        else:
-            amps[pos] = np.ones(size)
-    gammas = [a * np.exp(1j * p) for a, p in zip(amps, phases)]
+    values = [
+        rng.uniform(0.0, 2.0 * np.pi, mat.shape[0]) if kind.phase_tunable else np.ones(mat.shape[0])
+        for kind, mat in zip(kinds, mats)
+    ]
+    gammas = [layer_gamma(kind, v, alpha_pc) for kind, v in zip(kinds, values)]
 
     f_current = _objective_value(mats, gammas, target.entries)
     trace = [f_current]
@@ -299,7 +298,7 @@ def run_pgd(
     for _ in range(config.max_iterations):
         # Arrays are never modified in place, only list slots rebound, so
         # shallow copies of the lists keep the iterate.
-        snapshot = (list(phases), list(amps), list(gammas))
+        snapshot = (list(values), list(gammas))
         e_factors = _downstream_factors(mats, gammas, stack.output_size)
         b_factor = mats[0]
         iteration_steps = np.full(n_layers, np.nan)
@@ -307,7 +306,7 @@ def run_pgd(
         for pos in range(n_layers):
             e_factor = e_factors[pos]
             phase_tunable = kinds[pos].phase_tunable
-            amplitudes = None if phase_tunable else amps[pos]
+            amplitudes = None if phase_tunable else values[pos]
             grad = _layer_gradient(e_factor, b_factor, gammas[pos], target.entries, amplitudes, bounds[0])
             grad_norm_sq = float(grad @ grad)
             f_base = f_next = _layer_objective(e_factor, b_factor, gammas[pos], target.entries)
@@ -315,17 +314,16 @@ def run_pgd(
             step = last_step[pos] * config.step_growth
             for _attempt in range(config.max_backtracks + 1):
                 if phase_tunable:
-                    cand = phases[pos] - step * grad
-                    cand_gamma = amps[pos] * np.exp(1j * cand)
+                    cand = values[pos] - step * grad
                     bound = f_base - ARMIJO_CONSTANT * step * grad_norm_sq
                 else:
-                    cand = project_amplitude(amps[pos] - step * grad, bounds)
-                    cand_gamma = cand * np.exp(1j * phases[pos])
-                    bound = f_base + ARMIJO_CONSTANT * float(grad @ (cand - amps[pos]))
+                    cand = project_amplitude(values[pos] - step * grad, bounds)
+                    bound = f_base + ARMIJO_CONSTANT * float(grad @ (cand - values[pos]))
+                cand_gamma = layer_gamma(kinds[pos], cand, alpha_pc)
                 f_new = _layer_objective(e_factor, b_factor, cand_gamma, target.entries)
                 evaluations += 1
                 if f_new <= bound:
-                    (phases if phase_tunable else amps)[pos] = cand
+                    values[pos] = cand
                     gammas[pos] = cand_gamma
                     iteration_steps[pos] = step
                     last_step[pos] = step
@@ -341,12 +339,13 @@ def run_pgd(
 
         step_log.append(iteration_steps)
         if monitor is not None:
-            monitor(len(trace), min(f_next, f_current), {pos + 2: amps[pos] for pos in range(n_layers)})
+            ac_values = {pos + 2: values[pos] for pos in range(n_layers) if kinds[pos].amplitude_tunable}
+            monitor(len(trace), min(f_next, f_current), ac_values)
         if f_next > f_current:
             # Rounding-floor anomaly: every accepted layer step decreased its
             # own evaluation, so an uptick is last-bit noise. Keep the previous
             # iterate so the trace stays non-increasing, and stop.
-            phases, amps, gammas = snapshot
+            values, gammas = snapshot
             trace.append(f_current)
             converged = True
             logger.debug("objective uptick at the numerical floor; reverting final sweep")
@@ -359,7 +358,7 @@ def run_pgd(
             break
 
     state = PgdState(
-        values={pos + 2: (phases if kinds[pos].phase_tunable else amps)[pos] for pos in range(n_layers)},
+        values=dict(enumerate(values, start=2)),
         objective_trace=np.asarray(trace),
         iteration=len(trace) - 1,
         accepted_steps=np.asarray(step_log) if step_log else np.empty((0, n_layers)),

@@ -29,6 +29,7 @@ __all__ = [
     "LayerKind",
     "StackDescription",
     "SimStack",
+    "layer_gamma",
     "build_stack",
     "compose",
     "compose_space_block",
@@ -65,6 +66,13 @@ class LayerKind(str, Enum):
     @property
     def amplitude_tunable(self) -> bool:
         return self is LayerKind.AMPLITUDE_CONTROLLED
+
+
+def layer_gamma(kind: LayerKind, values: np.ndarray, alpha_pc: float) -> np.ndarray:
+    """A space-coded layer's coefficients from its tunable vector: phases at the
+    fixed amplitude ``alpha_pc`` for a phase-controlled layer, amplitudes at the
+    fixed phase 0 for an amplitude-controlled one."""
+    return alpha_pc * np.exp(1j * values) if kind.phase_tunable else values + 0j
 
 
 @dataclass(frozen=True)
@@ -128,14 +136,13 @@ class SimStack:
     The propagation matrices are fixed by the layer shapes and read-only; hops
     between equal shapes share one matrix, so a stack holds at most one Q x Q
     matrix however many inner layers it has. Layer ``pos`` (cascade layer
-    ``pos + 2``) has coefficients ``amplitudes[pos] * exp(j*phases[pos])``.
-    Each layer tunes one of the two vectors, its :meth:`tunable` one (the
-    phases of a phase-controlled layer, the amplitudes of an
-    amplitude-controlled one), and only :meth:`set_layer` replaces it; the
-    other is fixed by the hardware. The time-coded input layer's slot phases
-    are not stored but passed to :func:`slot_response`. Composition results
-    are cached and invalidated on any coefficient update; composed matrices
-    are handed out read-only.
+    ``pos + 2``) stores only what it tunes, ``values[pos]``: the phases of a
+    phase-controlled layer, the amplitudes of an amplitude-controlled one. The
+    other component is fixed by the hardware, and :func:`layer_gamma` forms
+    the coefficients from both. Only :meth:`set_layer` replaces a layer's
+    vector. The time-coded input layer's slot phases are not stored but passed
+    to :func:`slot_response`. Composition results are cached and invalidated
+    on any coefficient update; composed matrices are handed out read-only.
     """
 
     def __init__(
@@ -144,15 +151,13 @@ class SimStack:
         feed_matrix: np.ndarray,
         tail_matrices: list[np.ndarray],
         kinds: tuple[LayerKind, ...],
-        phases: list[np.ndarray],
-        amplitudes: list[np.ndarray],
+        values: list[np.ndarray],
     ):
         self.description = description
         self.feed_matrix = feed_matrix
         self._tail = tail_matrices
         self.kinds = kinds
-        self.phases = phases
-        self.amplitudes = amplitudes
+        self.values = values
         self._space_block: np.ndarray | None = None
 
     # -- sizes ---------------------------------------------------------------
@@ -200,11 +205,10 @@ class SimStack:
 
     def tunable(self, layer: int) -> np.ndarray:
         """The layer's tunable vector: its phases or its amplitudes, by kind."""
-        pos = self._pos(layer)
-        return (self.phases if self.kinds[pos].phase_tunable else self.amplitudes)[pos]
+        return self.values[self._pos(layer)]
 
     def gammas(self) -> list[np.ndarray]:
-        return [amp * np.exp(1j * pha) for amp, pha in zip(self.amplitudes, self.phases)]
+        return [layer_gamma(kind, v, self.description.alpha_pc) for kind, v in zip(self.kinds, self.values)]
 
     def tail_matrices(self) -> list[np.ndarray]:
         """Propagation matrices feeding layers 2..L (read-only)."""
@@ -215,7 +219,7 @@ class SimStack:
         must lie in ``alpha_bounds``."""
         pos = self._pos(layer)
         values = np.asarray(values, dtype=float)
-        size = self.phases[pos].shape[0]
+        size = self.values[pos].shape[0]
         if values.shape != (size,):
             raise ConfigurationError(f"layer {layer} expects {size} coefficients, got shape {values.shape}")
         kind = self.kinds[pos]
@@ -223,7 +227,7 @@ class SimStack:
             amin, amax = self.alpha_bounds
             if np.any(values < amin - 1e-12) or np.any(values > amax + 1e-12):
                 raise ConfigurationError(f"{kind.value} layer amplitudes must lie in [{amin}, {amax}]")
-        (self.phases if kind.phase_tunable else self.amplitudes)[pos] = values
+        self.values[pos] = values
         self._space_block = None
 
     # The slot-index form of slot_response, for bench/tests/test_spans.py only:
@@ -240,9 +244,8 @@ class SimStack:
 def build_stack(description: StackDescription) -> SimStack:
     """Construct the propagation matrices between layer shapes, and initial coefficients.
 
-    Phase-controlled layers start at phase 0 with their fixed amplitude
-    ``alpha_pc``; amplitude-controlled layers start at amplitude 1 (the start
-    ``pgd.run_pgd`` uses) with their fixed phase 0.
+    Phase-controlled layers start at phase 0, amplitude-controlled layers at
+    amplitude 1 (the start ``pgd.run_pgd`` uses).
     """
     problems = description.validate()
     if problems:
@@ -263,12 +266,8 @@ def build_stack(description: StackDescription) -> SimStack:
             hops[pair] = build_propagation_matrix(*pair, centered)
         tail.append(hops[pair])
 
-    phases, amplitudes = [], []
-    for kind, shape in zip(kinds, shapes):
-        size = math.prod(shape)
-        phases.append(np.zeros(size))
-        amplitudes.append(np.ones(size) if kind.amplitude_tunable else np.full(size, description.alpha_pc))
-    return SimStack(description, feed_matrix, tail, kinds, phases, amplitudes)
+    values = [(np.zeros if kind.phase_tunable else np.ones)(math.prod(shape)) for kind, shape in zip(kinds, shapes)]
+    return SimStack(description, feed_matrix, tail, kinds, values)
 
 
 def compose(matrices: list[np.ndarray], gammas: list[np.ndarray]) -> np.ndarray:

@@ -219,11 +219,20 @@ class TestRunPgd:
                    ss.PgdConfig(max_iterations=40, seed=3), monitor=watch)
         assert seen
         for snapshot in seen:
-            for layer, amp in snapshot.items():
-                if stack.kind_of(layer).amplitude_tunable:
-                    assert np.all(amp >= amin - 1e-15) and np.all(amp <= amax + 1e-15)
-                else:
-                    np.testing.assert_allclose(amp, stack.description.alpha_pc, rtol=0, atol=1e-15)
+            for amp in snapshot.values():
+                assert np.all(amp >= amin - 1e-15) and np.all(amp <= amax + 1e-15)
+        # A phase-controlled layer's amplitude is fixed at alpha_pc.
+        for layer, gamma in zip(stack.space_layers, stack.gammas()):
+            if stack.kind_of(layer).phase_tunable:
+                np.testing.assert_allclose(np.abs(gamma), stack.description.alpha_pc, rtol=0, atol=1e-15)
+
+    def test_monitor_holds_the_amplitude_controlled_layers(self):
+        stack = small_stack(input_shape=(2, 2), inner_shape=(3, 3), output_shape=(2, 2), ac_layers=2, seed=1)
+        target = ss.generate_target(stack.input_size, stack.output_size, stack.beta, stack.w1_frobenius, 2)
+        keys = []
+        ss.run_pgd(stack, target, ss.PgdConfig(max_iterations=5, seed=3),
+                   monitor=lambda k, f, amplitudes: keys.append(sorted(amplitudes)))
+        assert keys and all(layers == [2, 3] for layers in keys)  # ac_layers=2: layers 2 and 3
 
     def test_coefficients_written_back_to_stack(self):
         stack = small_stack(seed=9)

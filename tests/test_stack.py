@@ -170,26 +170,44 @@ class TestCompose:
             stack.set_layer(1, np.zeros(stack.input_size))
 
     def test_set_layer_moves_only_the_tunable_vector(self):
-        # The tunable vector is the phases of a phase-controlled layer and the
-        # amplitudes of an amplitude-controlled one; the other stays as built.
+        # A layer stores only what it tunes, the phases of a phase-controlled
+        # layer and the amplitudes of an amplitude-controlled one; the other
+        # component of its coefficients stays fixed (alpha_pc, or phase 0).
         desc = ss.StackDescription(
             input_shape=(2, 1), inner_shape=(2, 2), output_shape=(2, 1), ac_layers=2, pc_layers=2,
             upa_shape=(1, 1),
         )
-        stack, built = ss.build_stack(desc), ss.build_stack(desc)
+        stack = ss.build_stack(desc)
+        for layer in stack.space_layers:
+            # Amplitude 1 lies inside the fixed range.
+            np.testing.assert_array_equal(stack.tunable(layer), 0.0 if stack.kind_of(layer).phase_tunable else 1.0)
         rng = np.random.default_rng(2)
         for layer in stack.space_layers:
-            stack.set_layer(layer, rng.uniform(0.2, 1.5, stack.tunable(layer).shape[0]))
-        for pos, kind in enumerate(stack.kinds):
-            if kind.phase_tunable:
-                np.testing.assert_array_equal(stack.amplitudes[pos], built.amplitudes[pos])
-                np.testing.assert_array_equal(stack.amplitudes[pos], desc.alpha_pc)
-                assert not np.array_equal(stack.phases[pos], built.phases[pos])
+            values = rng.uniform(0.2, 1.5, stack.tunable(layer).shape[0])
+            stack.set_layer(layer, values)
+            np.testing.assert_array_equal(stack.tunable(layer), values)
+        for layer, gamma in zip(stack.space_layers, stack.gammas()):
+            if stack.kind_of(layer).phase_tunable:
+                np.testing.assert_allclose(np.abs(gamma), desc.alpha_pc, rtol=1e-15)
+                np.testing.assert_allclose(np.angle(gamma), stack.tunable(layer), rtol=1e-15)
             else:
-                np.testing.assert_array_equal(built.amplitudes[pos], 1.0)  # inside the fixed range
-                np.testing.assert_array_equal(stack.phases[pos], built.phases[pos])
-                np.testing.assert_array_equal(stack.phases[pos], 0.0)
-                assert not np.array_equal(stack.amplitudes[pos], built.amplitudes[pos])
+                np.testing.assert_array_equal(gamma.real, stack.tunable(layer))
+                np.testing.assert_array_equal(gamma.imag, 0.0)
+
+    @pytest.mark.parametrize("inner_shape", [(2, 2), (8, 8), (24, 24)])
+    def test_gammas_match_the_two_vector_product(self, inner_shape):
+        # The coefficients once were amplitudes * exp(1j * phases) with the fixed
+        # component stored as a full vector: alpha_pc for a phase-controlled
+        # layer, phase 0 for an amplitude-controlled one. layer_gamma keeps
+        # every bit of that product.
+        stack = small_stack(inner_shape=inner_shape, ac_layers=2, pc_layers=3, seed=5, alpha_pc=0.73)
+        for layer, gamma in zip(stack.space_layers, stack.gammas()):
+            values = stack.tunable(layer)
+            if stack.kind_of(layer).phase_tunable:
+                old = np.full(values.shape[0], 0.73) * np.exp(1j * values)
+            else:
+                old = values * np.exp(1j * np.zeros(values.shape[0]))
+            assert gamma.tobytes() == old.tobytes()
 
 
 class TestSlotResponse:
