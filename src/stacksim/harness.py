@@ -70,7 +70,6 @@ logger = logging.getLogger(__name__)
 
 
 class ExperimentKind(str, Enum):
-    SYNTH_SWEEP_LAYERS = "synth_sweep_layers"
     SYNTH_CONVERGENCE = "synth_convergence"
     SUMRATE_VS_USERS = "sumrate_vs_users"
     FAIRNESS_VS_USERS = "fairness_vs_users"
@@ -78,8 +77,8 @@ class ExperimentKind(str, Enum):
 
     @property
     def downlink(self) -> bool:
-        """Whether the kind serves users: every kind but the two synthesis sweeps."""
-        return self not in (ExperimentKind.SYNTH_SWEEP_LAYERS, ExperimentKind.SYNTH_CONVERGENCE)
+        """Whether the kind serves users: every kind but synthesis."""
+        return self is not ExperimentKind.SYNTH_CONVERGENCE
 
 
 @dataclass(frozen=True)
@@ -347,8 +346,8 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
     errors raised. A trial that raises a numeric error, or whose metrics are
     not all finite, is recorded as a ``trial_failed`` metric for that
     (point, trial) with a logged warning, and the run continues. For
-    convergence experiments, per-iteration optimizer traces are written to
-    ``trace_dir`` when given.
+    synthesis experiments, each synthesis's per-iteration optimizer trace is
+    written to ``trace_dir`` when given.
     """
     _check_config(config)
     _warn_training_budget(config)
@@ -389,7 +388,7 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
                     state = synth_cache.get(trial)
                     if state is None:
                         state = synth_cache[trial] = synthesize(stack, config.pgd, config.master_seed, trial)
-                        if trace_dir is not None and config.kind is ExperimentKind.SYNTH_CONVERGENCE:
+                        if trace_dir is not None and not downlink:
                             tag = "_".join(f"{k}{v}" for k, v in sweep_items) or "base"
                             write_trace_csv(state, Path(trace_dir) / f"trace_{tag}_trial{trial}.csv")
                     else:
@@ -521,10 +520,10 @@ def write_summary_json(records: list[ResultRecord], config: ExperimentConfig, pa
 # -- presets ------------------------------------------------------------------------
 
 # The paper's four experiments at full size; commands apply their flags with
-# :func:`with_overrides`. fig4 and fig6 are fig3 and fig5 with another kind and sweep.
+# :func:`with_overrides`. fig4 is fig3 with another sweep, fig6 fig5 with another kind and sweep.
 PRESETS: dict[str, ExperimentConfig] = {
     "fig3": ExperimentConfig(
-        kind=ExperimentKind.SYNTH_SWEEP_LAYERS,
+        kind=ExperimentKind.SYNTH_CONVERGENCE,
         stack=StackDescription(
             input_shape=(3, 3), inner_shape=(8, 8), output_shape=(5, 5), ac_layers=4, pc_layers=8, slot_count=1
         ),
@@ -545,9 +544,7 @@ PRESETS: dict[str, ExperimentConfig] = {
         pgd={"max_iterations": 300},
     ),
 }
-PRESETS["fig4"] = dataclasses.replace(
-    PRESETS["fig3"], kind=ExperimentKind.SYNTH_CONVERGENCE, sweep=SweepAxes(inner_counts=(25, 36, 49, 64))
-)
+PRESETS["fig4"] = dataclasses.replace(PRESETS["fig3"], sweep=SweepAxes(inner_counts=(25, 36, 49, 64)))
 PRESETS["fig6"] = dataclasses.replace(
     PRESETS["fig5"],
     kind=ExperimentKind.FAIRNESS_VS_USERS,

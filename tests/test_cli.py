@@ -23,8 +23,12 @@ def test_fig3_writes_results(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert (out / "results.csv").exists()
     payload = json.loads((out / "summary.json").read_text())
-    assert payload["config"]["kind"] == "synth_sweep_layers"
+    assert payload["config"]["kind"] == "synth_convergence"
     assert "objective_db" in result.output
+    # One optimizer trace per sweep point and trial.
+    config = harness.with_overrides(harness.PRESETS["fig3"], trials=1, scale=0.2)
+    tags = ["_".join(f"{k}{v}" for k, v in items) for items, _, _ in harness.sweep_points(config)]
+    assert sorted(path.name for path in out.glob("trace_*.csv")) == sorted(f"trace_{tag}_trial0.csv" for tag in tags)
 
 
 def test_fig4_emits_traces(runner, tmp_path):
@@ -441,6 +445,12 @@ def small_run_config(**changes):
         # The layer counts: the output layer is one of the pc_layers.
         ("run", small_run_config(stack={**SMALL_STACK, "pc_layers": 0}), "pc_layers must be at least 1 (the output layer)"),
         ("run", small_run_config(stack={**SMALL_STACK, "ac_layers": -1}), "ac_layers must be non-negative, got -1"),
+        # fig3's former kind: every synthesis is synth_convergence.
+        (
+            "synth",
+            synth_config(SMALL_STACK, kind="synth_sweep_layers"),
+            "'synth_sweep_layers' is not a valid ExperimentKind",
+        ),
     ],
 )
 def test_malformed_config_exits_with_one_error_line(runner, tmp_path, form, config, message):

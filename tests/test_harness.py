@@ -420,7 +420,9 @@ class TestCsv:
 class TestPresetsAndScale:
     def test_fig3_preset_axes(self):
         config = harness.PRESETS["fig3"]
-        assert config.kind is harness.ExperimentKind.SYNTH_SWEEP_LAYERS
+        # The one synthesis kind; fig4 differs from fig3 only in its sweep.
+        assert config.kind is harness.ExperimentKind.SYNTH_CONVERGENCE
+        assert dataclasses.replace(harness.PRESETS["fig4"], sweep=config.sweep) == config
         assert config.sweep.inner_counts == (25, 36, 49, 64)
         assert config.sweep.pc_layer_counts == tuple(range(4, 15))
         assert config.stack.input_shape == (3, 3) and config.stack.output_shape == (5, 5)
