@@ -9,8 +9,8 @@ the same time, each as a subprocess with ``OPENBLAS_NUM_THREADS=1`` so that
 BLAS threading cannot move a last bit. They write to ``OUT_DIR/parent/<name>``
 and ``OUT_DIR/change/<name>``, and ``compare_outputs.py`` (next to this
 script) compares each pair. The twelve commands are the four presets, ``run``
-on ``DENSE_CELL_CONFIG`` from CHANGE_TREE's ``bench/workloads.py``, ``run``
-on ``BASE_POINT`` (no swept axis), ``run`` on ``DOWNLINK_INNER`` (one
+on ``DENSE_CELL_CONFIG`` from ``bench/workloads.py``, ``run`` on
+``BASE_POINT`` (no swept axis), ``run`` on ``DOWNLINK_INNER`` (one
 trial's user pool serves points with different stacks), ``run`` on
 ``NON_SQUARE_SCALE`` under ``--scale`` (a non-square output layer that
 ``--scale`` must keep within the training budget), ``run`` on
@@ -18,11 +18,15 @@ trial's user pool serves points with different stacks), ``run`` on
 must not widen), ``run`` on ``NON_SQUARE_INNER_SCALE`` under ``--scale`` (a
 2x19 inner layer whose short side is below the longest boundary side), and
 ``run`` on the one-point synthesis configs ``BARE_SYNTH`` (grids aligned by
-index) and ``BARE_SYNTH_CENTERED`` (grids aligned by their centers); the
-configs are written to OUT_DIR. The synthesis configs name no scenario, so a
-tree whose ``run`` requires one for synthesis fails those two commands. The
-exit status is 0 only when every command succeeded and every output record is
-identical. Uses the standard library only.
+index) and ``BARE_SYNTH_CENTERED`` (grids aligned by their centers).
+
+Each side runs its own tree's configs: the battery reads ``CONFIGS`` from
+``<tree>/tools/equivalence.py`` and ``DENSE_CELL_CONFIG`` from
+``<tree>/bench/workloads.py`` and writes them to ``OUT_DIR/<side>/<key>.json``,
+so a change to the config format is compared against a parent that reads its
+own form. A command whose config one tree does not define fails with a
+message naming it. The exit status is 0 only when every command succeeded and
+every output record is identical. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -149,7 +154,7 @@ NON_SQUARE_INNER_SCALE = {
 }
 
 # The config files the battery writes, by placeholder; "dense_cell" is read
-# from CHANGE_TREE.
+# from bench/workloads.py. Each tree's own CONFIGS and DENSE_CELL_CONFIG are used.
 CONFIGS = {
     "base_point": BASE_POINT,
     "downlink_inner": DOWNLINK_INNER,
@@ -178,11 +183,17 @@ BATTERY = {
 }
 
 
-def dense_cell_config(tree: Path) -> dict:
-    spec = importlib.util.spec_from_file_location("workloads", tree / "bench" / "workloads.py")
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(module)
-    return module.DENSE_CELL_CONFIG
+    return module
+
+
+def tree_configs(tree: Path) -> dict:
+    """Each placeholder's config as ``tree`` defines it."""
+    dense_cell = _load(tree / "bench" / "workloads.py", "workloads").DENSE_CELL_CONFIG
+    return {"dense_cell": dense_cell, **_load(tree / "tools" / "equivalence.py", "tree_equivalence").CONFIGS}
 
 
 def start(tree: Path, args: list[str], out: Path, log: Path) -> subprocess.Popen:
@@ -198,29 +209,38 @@ def main(argv: list[str]) -> int:
         return 2
     trees = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1]).resolve()}
     out_dir = Path(argv[2]).resolve()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    configs = {"dense_cell": dense_cell_config(trees["change"]), **CONFIGS}
     paths = {}
-    for key, config in configs.items():
-        paths[key] = out_dir / f"{key}.json"
-        paths[key].write_text(json.dumps(config, indent=1) + "\n")
+    for side, tree in trees.items():
+        (out_dir / side).mkdir(parents=True, exist_ok=True)
+        paths[side] = {}
+        for key, config in tree_configs(tree).items():
+            paths[side][key] = out_dir / side / f"{key}.json"
+            paths[side][key].write_text(json.dumps(config, indent=1) + "\n")
 
     failures = 0
     for name, template in BATTERY.items():
-        args = [arg.format(**paths) for arg in template]
-        print(f"== {name}: stacksim {' '.join(args)}", flush=True)
+        print(f"== {name}: stacksim {' '.join(template)}", flush=True)
+        lacking = [
+            f"{side} tree defines no config {{{key}}}"
+            for side in trees
+            for key in re.findall(r"\{(\w+)\}", " ".join(template))
+            if key not in paths[side]
+        ]
+        if lacking:
+            print("\n".join(lacking))
+            failures += 1
+            continue
         runs = {}
         for side, tree in trees.items():
             target = out_dir / side / name
             shutil.rmtree(target, ignore_errors=True)
-            target.parent.mkdir(parents=True, exist_ok=True)
             log = out_dir / f"{side}-{name}.log"
-            runs[side] = (start(tree, args, target, log), log)
+            runs[side] = (start(tree, [arg.format(**paths[side]) for arg in template], target, log), log)
         for side, (process, log) in runs.items():
             if process.wait() != 0:
                 print(f"{side} run failed with status {process.returncode}; last output:\n{log.read_text()[-2000:]}")
-                failures += 1
         if any(process.returncode for process, _ in runs.values()):
+            failures += 1
             continue
         compared = subprocess.run(
             [sys.executable, str(COMPARE), str(out_dir / "parent" / name), str(out_dir / "change" / name)],
