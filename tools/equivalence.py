@@ -154,7 +154,7 @@ NON_SQUARE_INNER_SCALE = {
 }
 
 # The config files the battery writes, by placeholder; "dense_cell" is read
-# from bench/workloads.py. Each tree's own CONFIGS and DENSE_CELL_CONFIG are used.
+# from bench/workloads.py. Each tree is run on its own copy of both.
 CONFIGS = {
     "base_point": BASE_POINT,
     "downlink_inner": DOWNLINK_INNER,
