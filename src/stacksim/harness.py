@@ -7,8 +7,8 @@ every random draw comes from a named substream keyed by content (trial
 index, stream name, and the parameters that draw depends on), never by
 execution order. Consequences worth knowing:
 
-* sweep points that share a stack configuration (e.g. a user-count sweep)
-  reuse one synthesis per trial instead of re-running the optimizer;
+* consecutive sweep points whose stacks differ at most in the slot count
+  (e.g. a user-count sweep) share one stack and one synthesis per trial;
 * user drops are drawn once per trial at the largest swept user count and
   prefix-sliced for smaller counts (common random numbers across the sweep);
 * the baseline and the randomized scheme see identical users and fading
@@ -332,15 +332,15 @@ def synthesize(stack: SimStack, pgd_overrides: dict, master_seed: int, trial: in
 
 def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None) -> list[ResultRecord]:
     """Run every (sweep point, trial) of :func:`sweep_points`, returning one
-    record per metric.
+    record per metric, point by point.
 
-    The config is validated first, point by point as it will run. Each point
-    builds its own stack, after the previous point's stack is released, so at
-    most one stack is alive at a time; the point's trials share it, each
-    writing its coefficients before use. Points whose stacks
-    differ at most in the slot count share one synthesis per trial. A
-    downlink experiment draws one user pool per trial up front, at the
-    largest swept user count; each point serves its first ``user_count`` users.
+    The config is validated first, point by point as it will run. A synthesis
+    group, a run of consecutive points whose stacks differ at most in the slot
+    count, builds one stack once the previous group's is released. Each trial
+    synthesizes into it once, at the first point (or the next, if that fails),
+    whose ``elapsed_s`` includes the synthesis, and serves the group's points
+    from it. A downlink experiment draws one user pool per trial up front, at
+    the largest swept user count; each point serves its first ``user_count`` users.
 
     Each trial runs with numpy's divide, overflow and invalid-operation
     errors raised. A trial that raises a numeric error, or whose metrics are
@@ -368,58 +368,55 @@ def run_experiment(config: ExperimentConfig, trace_dir: str | Path | None = None
         for trial in range(config.trial_count if downlink else 0)
     ]
 
-    cached_key, synth_cache = None, {}
-    records: list[ResultRecord] = []
+    # Each point's records, every trial of a point before the next point.
+    records: dict[tuple, list[ResultRecord]] = {sweep_items: [] for sweep_items, _, _ in points}
 
-    for sweep_items, desc, scenario in points:
-        stack = None  # release the previous point's stack before building this one
-        stack = build_stack(desc)
-        synth_key = _synth_key(desc)
-        if synth_key != cached_key:
-            # Points sharing a synthesis are consecutive: sweep_points puts the stack axes first.
-            cached_key, synth_cache = synth_key, {}
+    # Points sharing a synthesis are consecutive: sweep_points puts the stack axes first.
+    for synth_key, group in itertools.groupby(points, key=lambda point: _synth_key(point[1])):
+        group = list(group)
+        stack = None  # release the previous group's stack before building this one
+        stack = build_stack(group[0][1])
 
         for trial in range(config.trial_count):
             trial_seed = stream_seed(config.master_seed, "trial", trial)
-            started = time.perf_counter()
-            metrics: dict[str, float] = {}
-            try:
-                with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    state = synth_cache.get(trial)
-                    if state is None:
-                        state = synth_cache[trial] = synthesize(stack, config.pgd, config.master_seed, trial)
-                        if trace_dir is not None and not downlink:
-                            tag = "_".join(f"{k}{v}" for k, v in sweep_items) or "base"
-                            write_trace_csv(state, Path(trace_dir) / f"trace_{tag}_trial{trial}.csv")
-                    else:
-                        state.apply_to(stack)
-                    metrics["objective_db"] = state.final_objective_db
-                    metrics["pgd_iterations"] = float(state.iteration)
-                    metrics["pgd_converged"] = 1.0 if state.converged else 0.0
-                    metrics["power_constraint_deviation"] = constraint_deviation(stack)
+            state = None  # synthesized at the trial's first point, or at the next one if that failed
+            for sweep_items, _, scenario in group:
+                started = time.perf_counter()
+                metrics: dict[str, float] = {}
+                try:
+                    with np.errstate(divide="raise", over="raise", invalid="raise"):
+                        if state is None:
+                            state = synthesize(stack, config.pgd, config.master_seed, trial)
+                            if trace_dir is not None and not downlink:
+                                tag = "_".join(f"{k}{v}" for k, v in sweep_items) or "base"
+                                write_trace_csv(state, Path(trace_dir) / f"trace_{tag}_trial{trial}.csv")
+                        metrics["objective_db"] = state.final_objective_db
+                        metrics["pgd_iterations"] = float(state.iteration)
+                        metrics["pgd_converged"] = 1.0 if state.converged else 0.0
+                        metrics["power_constraint_deviation"] = constraint_deviation(stack)
 
-                    if downlink:
-                        users = pools[trial][: scenario.user_count]
-                        metrics.update(_downlink_metrics(config, stack, scenario, trial, synth_key, users))
-                not_finite = [name for name, value in metrics.items() if not math.isfinite(value)]
-                if not_finite:
-                    raise FloatingPointError(f"non-finite {', '.join(not_finite)}")
-            except (ArithmeticError, np.linalg.LinAlgError) as exc:
-                logger.warning("trial %d at %s failed: %s", trial, dict(sweep_items) or "base point", exc)
-                metrics = {"trial_failed": 1.0}
-            elapsed = time.perf_counter() - started
-            for metric, value in metrics.items():
-                records.append(
-                    ResultRecord(
-                        experiment=experiment,
-                        sweep=sweep_items,
-                        metric=metric,
-                        value=float(value),
-                        seed=trial_seed,
-                        elapsed_s=elapsed,
+                        if downlink:
+                            users = pools[trial][: scenario.user_count]
+                            metrics.update(_downlink_metrics(config, stack, scenario, trial, synth_key, users))
+                    not_finite = [name for name, value in metrics.items() if not math.isfinite(value)]
+                    if not_finite:
+                        raise FloatingPointError(f"non-finite {', '.join(not_finite)}")
+                except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                    logger.warning("trial %d at %s failed: %s", trial, dict(sweep_items) or "base point", exc)
+                    metrics = {"trial_failed": 1.0}
+                elapsed = time.perf_counter() - started
+                for metric, value in metrics.items():
+                    records[sweep_items].append(
+                        ResultRecord(
+                            experiment=experiment,
+                            sweep=sweep_items,
+                            metric=metric,
+                            value=float(value),
+                            seed=trial_seed,
+                            elapsed_s=elapsed,
+                        )
                     )
-                )
-    return records
+    return [record for point_records in records.values() for record in point_records]
 
 
 def _downlink_metrics(

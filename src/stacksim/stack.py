@@ -83,7 +83,9 @@ class StackDescription:
     (:mod:`stacksim.propagation`), the input layer's ``beta`` (:data:`BETA`)
     and the amplitude range (:data:`ALPHA_BOUNDS`) are fixed. ``pc_layers``
     counts the output layer, so it is at least 1. ``slot_count`` is checked
-    against the scenario's and used by nothing else.
+    against the scenario's and used by nothing else: a synthesis group's points
+    differ only in it and share the stack built from the first point's
+    description, and the downlink reads the slot count from the scenario.
     """
 
     input_shape: tuple[int, int]

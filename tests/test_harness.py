@@ -224,35 +224,48 @@ class TestRunExperiment:
                 by_point.setdefault(dict(r.sweep)["users"], []).append(r.value)
         assert by_point[6] == by_point[12]
 
-    def test_one_stack_per_point_previous_released(self, monkeypatch):
-        real = harness.build_stack
-        built = []
+    def test_one_stack_and_synthesis_per_group(self, monkeypatch):
+        real_build, real_synth, real_metrics = harness.build_stack, harness.synthesize, harness._downlink_metrics
+        built, synthesized, served = [], {}, []
 
-        def counting(desc):
-            # The previous point's stack is released before the next one is built.
-            assert all(ref() is None for _, ref in built)
-            stack = real(desc)
-            built.append((desc, weakref.ref(stack)))
+        def building(desc):
+            # The previous group's stack is released before the next one is built.
+            assert all(ref() is None for ref in built)
+            stack = real_build(desc)
+            built.append(weakref.ref(stack))
             return stack
 
-        monkeypatch.setattr(harness, "build_stack", counting)
+        def synthesizing(stack, pgd_overrides, master_seed, trial):
+            assert (stack.inner_size, trial) not in synthesized
+            synthesized[stack.inner_size, trial] = real_synth(stack, pgd_overrides, master_seed, trial)
+            return synthesized[stack.inner_size, trial]
+
+        def serving(config, stack, scenario, trial, synth_key, users):
+            # The group's stack holds the coefficients of the trial being served.
+            assert stack is built[-1]()
+            for layer, values in synthesized[stack.inner_size, trial].values.items():
+                np.testing.assert_array_equal(stack.tunable(layer), values)
+            served.append((stack.inner_size, trial, scenario.user_count))
+            return real_metrics(config, stack, scenario, trial, synth_key, users)
+
+        monkeypatch.setattr(harness, "build_stack", building)
+        monkeypatch.setattr(harness, "synthesize", synthesizing)
+        monkeypatch.setattr(harness, "_downlink_metrics", serving)
         config = dataclasses.replace(
-            tiny_downlink_config(trials=1),
-            sweep=harness.SweepAxes(user_counts=(6, 12), slot_counts=(1, 2)),
+            tiny_downlink_config(trials=2),
+            sweep=harness.SweepAxes(inner_counts=(9, 16), user_counts=(6, 12)),
             pgd={"max_iterations": 5},
         )
-        slot_counts = []
-        real_metrics = harness._downlink_metrics
-
-        def recording(config, stack, *args):
-            slot_counts.append(stack.description.slot_count)
-            return real_metrics(config, stack, *args)
-
-        monkeypatch.setattr(harness, "_downlink_metrics", recording)
-        harness.run_experiment(config)
-        # Points run (6, 1), (6, 2), (12, 1), (12, 2), each on its own stack.
-        assert [desc for desc, _ in built] == [desc for _, desc, _ in harness.sweep_points(config)]
-        assert slot_counts == [1, 2, 1, 2]
+        records = harness.run_experiment(config)
+        # One stack per inner size, each serving both user counts of a trial
+        # from one synthesis before the next trial is synthesized.
+        assert len(built) == 2
+        assert sorted(synthesized) == [(q, t) for q in (9, 16) for t in (0, 1)]
+        assert served == [(q, t, u) for q in (9, 16) for t in (0, 1) for u in (6, 12)]
+        # Records stay point-major: every trial of a point, then the next point.
+        seeds = [ss.stream_seed(config.master_seed, "trial", t) for t in (0, 1)]
+        order = [(items, seed) for items, _, _ in harness.sweep_points(config) for seed in seeds]
+        assert list(dict.fromkeys((r.sweep, r.seed) for r in records)) == order
 
     def test_one_user_pool_per_trial(self, monkeypatch):
         real_drop, real_metrics = harness.drop_users, harness._downlink_metrics
