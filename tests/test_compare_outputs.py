@@ -47,7 +47,7 @@ def test_only_elapsed_time_may_differ(tmp_path, capsys):
         ({"results": [RESULTS[0], RESULTS[1].replace("0.25", "0.2"), RESULTS[2]]},
          "fig4/results.csv: ta_sum_rate: 1 differing records, largest relative difference 0.2"),
         ({"results": [RESULTS[0], RESULTS[1].replace(",11,", ",12,"), RESULTS[2]]},
-         "fig4/results.csv: ta_sum_rate: 1 differing records"),
+         "fig4/results.csv: seed: 1 differing records, largest relative difference 0.0833"),
         ({"trace": TRACE[:2]}, "objective_linear: 1 differing records, largest relative difference inf"),
         ({"summary": {**SUMMARY, "config": {"pgd": {"max_iterations": 4}}}},
          "fig4/summary.json: config.pgd.max_iterations: 1 differing records, largest relative difference 0.25"),
@@ -62,6 +62,15 @@ def test_any_other_difference_fails(tmp_path, capsys, change, expected):
     parent, changed = write_run(tmp_path / "a"), write_run(tmp_path / "b", **change)
     assert compare_outputs.main([str(parent), str(changed)]) == 1
     assert expected in capsys.readouterr().out
+
+
+def test_label_difference_named_by_its_column(tmp_path, capsys):
+    # A row whose value and seed agree differs in no metric, only in its label.
+    relabelled = [RESULTS[0], *(line.replace("sumrate_vs_users", "custom") for line in RESULTS[1:])]
+    parent, change = write_run(tmp_path / "a"), write_run(tmp_path / "b", results=relabelled)
+    assert compare_outputs.main([str(parent), str(change)]) == 1
+    differing = [line for line in capsys.readouterr().out.splitlines() if "differing records, largest" in line]
+    assert differing == ["fig4/results.csv: experiment: 2 differing records, largest relative difference inf"]
 
 
 def test_summary_json_compared_exactly(tmp_path, capsys):

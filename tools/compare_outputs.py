@@ -6,9 +6,11 @@
 Both directories are searched recursively for the files the CLI writes, and
 files are paired by their path relative to the directory:
 
-- ``results.csv``: one record per row, grouped by its ``metric`` column and
-  compared on every column except ``elapsed_s``, the only one that depends
-  on the machine;
+- ``results.csv``: one record per row, compared on every column except
+  ``elapsed_s``, the only one that depends on the machine. A difference in
+  ``value``, or a row on one side only, is grouped under the row's metric; a
+  difference in another column, such as ``experiment`` or ``seed``, under
+  that column's name;
 - ``trace_*.csv``: one record per cell, grouped by column;
 - ``summary.json``: one record per leaf, grouped by its key path. It holds
   no timing: it is the summary table plus the resolved config, so a change
@@ -33,7 +35,6 @@ import json
 import math
 import sys
 from collections import defaultdict
-from itertools import zip_longest
 from pathlib import Path
 
 PATTERNS = ("results.csv", "trace_*.csv", "summary.json")
@@ -81,44 +82,57 @@ def summary_leaves(path: Path) -> dict[str, str]:
 
 
 def csv_records(path: Path):
-    """Yield ``(key, group, cells)`` for the header and every record of a CSV file."""
+    """Yield ``(key, group, cells)`` for the header and every record of a CSV
+    file; ``cells`` maps the group a difference in each cell is reported
+    under to the cell's text."""
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh))
-    yield "<header>", "<header>", header
-    kept = [i for i, name in enumerate(header) if name not in IGNORED_COLUMNS]
+    yield "<header>", "<header>", {"<header>": ",".join(header)}
     if "metric" in header:
         metric = header.index("metric")
         point = [i for i, name in enumerate(header) if name not in RESULT_COLUMNS]
+        # The metric and sweep columns are the key; value is reported under the metric.
+        compared = [i for i, name in enumerate(header) if name in RESULT_COLUMNS - IGNORED_COLUMNS - {"metric"}]
         seen: dict[tuple, int] = defaultdict(int)
         for row in rows:
             at = (row[metric], *(row[i] for i in point))
             seen[at] += 1
-            yield (*at, seen[at]), row[metric], [row[i] for i in kept]
+            cells = {row[metric] if header[i] == "value" else header[i]: row[i] for i in compared}
+            yield (*at, seen[at]), row[metric], cells
     else:
+        kept = [i for i, name in enumerate(header) if name not in IGNORED_COLUMNS]
         for n, row in enumerate(rows):
             for i in kept:
-                yield (n, i), header[i], [row[i]]
+                yield (n, i), header[i], {header[i]: row[i]}
 
 
 def file_records(path: Path) -> dict:
     """``{key: (group, cells)}`` for every record of an output file."""
     if path.suffix == ".json":
-        return {key: (key, [text]) for key, text in summary_leaves(path).items()}
+        return {key: (key, {key: text}) for key, text in summary_leaves(path).items()}
     return {key: (group, cells) for key, group, cells in csv_records(path)}
 
 
 def compare_files(parent: Path, change: Path) -> dict[str, list]:
-    """Per group: [differing records, largest relative difference]."""
+    """Per group: [differing records, largest relative difference]. A record
+    on one side only counts under its group, a differing cell under the
+    cell's group."""
     stats: dict[str, list] = defaultdict(lambda: [0, 0.0])
+
+    def count(group: str, difference: float) -> None:
+        stats[group][0] += 1
+        stats[group][1] = max(stats[group][1], difference)
+
     records_p, records_c = file_records(parent), file_records(change)
     for key in records_p.keys() | records_c.keys():
-        group_p, cells_p = records_p.get(key, (None, [MISSING]))
-        group_c, cells_c = records_c.get(key, (None, [MISSING]))
-        if cells_p != cells_c:
-            entry = stats[group_p or group_c]
-            entry[0] += 1
-            cells = zip_longest(cells_p, cells_c, fillvalue=MISSING)
-            entry[1] = max(entry[1], *(relative_difference(a, b) for a, b in cells if a != b))
+        if key not in records_p or key not in records_c:
+            count((records_p.get(key) or records_c[key])[0], math.inf)
+            continue
+        cells_p, cells_c = records_p[key][1], records_c[key][1]
+        for group in cells_p.keys() | cells_c.keys():
+            a, b = cells_p.get(group, MISSING), cells_c.get(group, MISSING)
+            if a != b:
+                count(group, relative_difference(a, b))
     return stats
 
 
