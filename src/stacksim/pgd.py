@@ -23,14 +23,21 @@ gradient follows from the quadratic form in ``gamma``:
     d(phase) f = 2 * Im{ conj(gamma) * (A @ gamma - v) }
     d(amp)   f = 2 * Re{ conj(gamma) * (A @ gamma - v) } / amp
 
-``A`` is never formed whole: its rows, with the matching entries of ``v``,
-are streamed in blocks of ``_BLOCK``, each reduced at once, and the backward
-sweep builds each downstream factor in column blocks, so no layer visit
-allocates a Q x Q temporary, nor a Q x Z one for ``v``. The results match
+For a layer of more than ``_BLOCK + 1`` cells ``A`` is never formed whole:
+its rows, with the matching entries of ``v``, are streamed in blocks of
+``_BLOCK``, each reduced at once, and the backward sweep builds the layer's
+downstream factor in column blocks, so no such layer visit allocates a Q x Q
+temporary, nor a Q x Z one for ``v``. A layer of at most ``_BLOCK + 1``
+cells is one block (every layer of the fig3/fig4 stacks, and fig5's output
+layer): its gradient and downstream factor are the whole expressions, with
+no buffers to preallocate and fill, since at those sizes a layer visit's time
+is mostly the fixed cost of each numpy call. For the same reason the line
+search's objective subtracts the target in place and reduces with
+``np.add.reduce``, the ufunc call ``np.sum`` dispatches to. The results match
 the unblocked forms bit for bit on one BLAS thread. On two OpenBLAS threads
 the gradient matches at every Q checked, but the downstream factors do not
 (they differ at Q = 130, 131, 132, 150 and 196, and match at the tested
-sizes 65, 100, 144, 193 and 576).
+sizes 25, 64, 65, 100, 144, 193 and 576).
 """
 
 from __future__ import annotations
@@ -173,8 +180,9 @@ def _objective_value(mats, gammas, target_entries) -> float:
 
 
 def _layer_objective(e_factor, b_factor, gamma, target_entries) -> float:
-    residual = e_factor @ (gamma[:, None] * b_factor) - target_entries
-    return float(np.sum(residual.real**2 + residual.imag**2))
+    residual = e_factor @ (gamma[:, None] * b_factor)
+    residual -= target_entries
+    return float(np.add.reduce(residual.real**2 + residual.imag**2, axis=None))
 
 
 def _downstream_factors(mats, gammas, output_size) -> list[np.ndarray]:
@@ -184,10 +192,15 @@ def _downstream_factors(mats, gammas, output_size) -> list[np.ndarray]:
     acc = np.eye(output_size, dtype=complex)
     factors[n - 1] = acc
     for pos in range(n - 2, -1, -1):
-        # acc @ (gamma[:, None] * W), one column block of W at a time.
+        # acc @ (gamma[:, None] * W): whole when W's columns are one block,
+        # else one column block of W at a time.
         gamma, mat = gammas[pos + 1], mats[pos + 1]
+        blocks = _blocks(mat.shape[1])
+        if len(blocks) == 1:
+            acc = factors[pos] = acc @ (gamma[:, None] * mat)
+            continue
         nxt = np.empty((acc.shape[0], mat.shape[1]), dtype=complex)
-        for cols in _blocks(mat.shape[1]):
+        for cols in blocks:
             nxt[:, cols] = acc @ (gamma[:, None] * mat[:, cols])
         acc = factors[pos] = nxt
     return factors
@@ -196,17 +209,25 @@ def _downstream_factors(mats, gammas, output_size) -> list[np.ndarray]:
 def _layer_gradient(e_factor, b_factor, gamma, target_entries, amplitudes=None, floor=None) -> np.ndarray:
     """Phase gradient of one layer, or amplitude gradient if ``amplitudes`` (floored at ``floor``) is given."""
     ec = e_factor.conj()
-    # v and A @ gamma with A = (conj(B) @ B.T) * (E^H @ E), one row block at a
-    # time, keeping the whole expressions' operand order (complex x*y and y*x
-    # can differ in the last bit).
-    v_vector = np.empty(b_factor.shape[0], dtype=complex)
-    a_gamma = np.empty_like(v_vector)
-    for rows in _blocks(b_factor.shape[0]):
-        bc_rows = b_factor[rows].conj()
-        v_vector[rows] = ((ec[:, rows].T @ target_entries) * bc_rows).sum(axis=1)
-        part = bc_rows @ b_factor.T
-        part *= ec[:, rows].T @ e_factor
-        a_gamma[rows] = part @ gamma
+    # v and A @ gamma with A = (conj(B) @ B.T) * (E^H @ E): whole when the rows
+    # are one block, else one row block at a time, keeping the whole
+    # expressions' operand order (complex x*y and y*x can differ in the last bit).
+    blocks = _blocks(b_factor.shape[0])
+    if len(blocks) == 1:
+        bc = b_factor.conj()
+        v_vector = ((ec.T @ target_entries) * bc).sum(axis=1)
+        a_matrix = bc @ b_factor.T
+        a_matrix *= ec.T @ e_factor
+        a_gamma = a_matrix @ gamma
+    else:
+        v_vector = np.empty(b_factor.shape[0], dtype=complex)
+        a_gamma = np.empty_like(v_vector)
+        for rows in blocks:
+            bc_rows = b_factor[rows].conj()
+            v_vector[rows] = ((ec[:, rows].T @ target_entries) * bc_rows).sum(axis=1)
+            part = bc_rows @ b_factor.T
+            part *= ec[:, rows].T @ e_factor
+            a_gamma[rows] = part @ gamma
     inner = gamma.conj() * (a_gamma - v_vector)
     if amplitudes is None:
         return 2.0 * inner.imag

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import math
 import re
 import tracemalloc
 
@@ -127,10 +129,11 @@ class TestGradient:
             np.testing.assert_allclose(a_matrix, a_expected, rtol=1e-12)
             np.testing.assert_allclose(v_vector, v_expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("size", [65, 100, 144, 193, 576])
+    @pytest.mark.parametrize("size", [25, 64, 65, 100, 144, 193, 576])
     def test_blocked_gradient_bit_identical_to_one_expression(self, size):
-        # 100 and 144 leave a partial last block of rows; 65 and 193 a last
-        # block of 65 rows, since a block of one row is folded into the one before.
+        # 25, 64 and 65 are one block (65 folds its last row into the block);
+        # 100 and 144 leave a partial last block of rows; 193 a last block of
+        # 65 rows, since a block of one row is folded into the one before.
         cplx = complex_normal(size)
         e_factor, b_factor, gamma, target = cplx(9, size), cplx(size, 100), cplx(size), cplx(9, 100)
         amplitudes = np.abs(cplx(size)) + 0.05
@@ -142,7 +145,7 @@ class TestGradient:
             2.0 * inner.real / np.maximum(amplitudes, 0.1),
         )
 
-    @pytest.mark.parametrize("size", [65, 100, 144, 193, 576])
+    @pytest.mark.parametrize("size", [25, 64, 65, 100, 144, 193, 576])
     def test_blocked_downstream_factors_bit_identical_to_one_expression(self, size):
         cplx = complex_normal(size + 1)
         mats = [cplx(size, 100), cplx(size, size), cplx(size, size), cplx(9, size)]
@@ -345,6 +348,21 @@ class TestRunPgd:
         np.testing.assert_allclose(state.objective_trace, trace, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(np.isnan(state.accepted_steps), np.isnan(steps))
         np.testing.assert_allclose(state.accepted_steps, steps, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("inner_cells, digest", [(25, "1a748a37f02af19b"), (64, "ae678b7e4fbe4e2d")])
+    def test_pinned_fig4_synthesis(self, inner_cells, digest):
+        # SHA-256 prefixes of the objective trace and each layer's vector after
+        # 40 fig4 iterations, recorded from the blocked-only gradient and
+        # downstream factors, which the one-block paths must reproduce bit for
+        # bit. Equal on one and two OpenBLAS threads: no fig4 product is large
+        # enough for OpenBLAS to start a second.
+        points = harness.sweep_points(harness.PRESETS["fig4"])
+        (desc,) = [d for _, d, _ in points if math.prod(d.inner_shape) == inner_cells]
+        state = harness.synthesize(ss.build_stack(desc), {"max_iterations": 40}, 0, 0)
+        sha = hashlib.sha256(state.objective_trace.tobytes())
+        for layer in sorted(state.values):
+            sha.update(state.values[layer].tobytes())
+        assert sha.hexdigest()[:16] == digest
 
     def test_deterministic_given_seed(self):
         results = []
